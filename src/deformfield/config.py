@@ -21,6 +21,7 @@ from .fields import (
     DeformationSpec,
 )
 from .grids import atomic_write_text
+from .likelihood import ALPHA_FLOOR
 
 _FAMILIES = (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL)
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")
@@ -82,6 +83,26 @@ class PipelineConfig:
             raise ConfigError("noise_fraction must be in [0, 1)")
         if self.deform == "grid_map" and not self.deform_path:
             raise ConfigError("deform = grid_map requires deform_path")
+        # each bound comes from the stage that consumes the value
+        side = min(self.grid_nx, self.grid_ny)
+        per_side = side // max(self.block, 1)
+        n_blocks = (self.grid_nx // max(self.block, 1)) * (self.grid_ny // max(self.block, 1))
+        for name, lo, hi in (
+            ("block", 3, side),  # partition_grid: the block fits the lattice
+            ("smooth_window", 1, per_side),  # the window fits the block lattice
+            ("flow_lattice", 3, None),  # spacing 1/(m-1); d2 reads interior cells
+            ("flow_steps", 1, None),
+            ("harmonic_n", 0, (n_blocks - 1) // 2),  # 2n+1 fit points among the blocks
+            ("d1_samples", 1, None),
+            ("sim_block", 0, None),  # 0 draws the lattice exactly
+            ("threads", 1, None),
+        ):
+            value = getattr(self, name)
+            if value < lo or (hi is not None and value > hi):
+                span = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+                raise ConfigError(f"{name} must be {span}, got {value}")
+        if not self.alpha_max > ALPHA_FLOOR:
+            raise ConfigError(f"alpha_max must exceed {ALPHA_FLOOR}, got {self.alpha_max}")
 
     def build_model(self) -> CovarianceModel:
         if self.family == POWERED_EXPONENTIAL:

@@ -2,7 +2,8 @@
 
 Dilatations live in |mu| < 1; averaging and interpolation use the
 Poincare metric so that results respect the conformal structure rather
-than the Euclidean one.
+than the Euclidean one.  Every average is a weighted Frechet mean, and a
+whole field's worth of them is computed by one batched Karcher iteration.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ import numpy as np
 from .likelihood import (
     STATUS_IMPUTED,
     STATUS_MISSING,
-    STATUS_OK,
     DilatationScaleField,
 )
 
 log = logging.getLogger(__name__)
-
-_EDGE = 1.0 - 1e-9  # projection radius for gradient descent iterates
 
 
 def _check_disk(z: np.ndarray | complex, name: str) -> None:
@@ -74,80 +72,121 @@ def ellipse_to_mu(e: EllipseParams) -> complex:
     return complex(-m * np.exp(2j * e.inclination))
 
 
-def frechet_mean(
-    points,
-    weights=None,
-    p: float = 2.0,
-    *,
-    max_iter: int = 500,
-    full_output: bool = False,
-):
-    """Weighted Frechet mean argmin_mu sum_k w_k d(mu, mu_k)^p in the disk.
+KARCHER_MAX_ITER = 100
+_TOL = 1e-12  # Newton step length, in units of the metric, that counts as converged
+_EPS = np.finfo(np.float64).eps
 
-    Projected gradient descent with finite-difference gradients, started
-    from the Euclidean weighted mean, with step halving on non-descent.
-    Stops when the accepted step falls below 1e-10 or after max_iter
-    iterations; with full_output the second element reports whether the
-    stop was stationarity (True) or the iteration cap (False).
+
+def _log_map(z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log maps at the means m of the points z (last axis), and the distances.
+
+    u = (z - m) / (1 - conj(m) z) moves m to 0, where the log map is artanh|u| u/|u|.
     """
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    _check_disk(pts, "points")
-    if weights is None:
-        w = np.ones(pts.size)
-    else:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if w.shape != pts.shape or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
-    if pts.size == 1:
-        return (complex(pts[0]), True) if full_output else complex(pts[0])
+    u = (z - m[..., None]) / (1.0 - np.conj(m[..., None]) * z)
+    r = np.abs(u)
+    d = np.arctanh(r)
+    return d * u / np.where(r > 0, r, 1.0), d
 
-    def objective(mu: complex) -> float:
-        m = np.abs((mu - pts) / (1.0 - mu * np.conj(pts)))
-        m = np.minimum(m, 1.0 - 1e-15)
-        return float(np.sum(w * (0.5 * np.log((1.0 + m) / (1.0 - m))) ** p))
 
-    def project(mu: complex) -> complex:
-        r = abs(mu)
-        return mu * (_EDGE / r) if r > _EDGE else mu
+def _exp_map(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Point reached from m along the tangent vector s (origin frame of m)."""
+    n = np.abs(s)
+    p = np.tanh(n) / np.where(n > 0, n, 1.0) * s
+    return (p + m) / (1.0 + np.conj(m) * p)
 
-    x = project(complex(np.sum(w * pts) / np.sum(w)))
-    fx = objective(x)
-    step = 0.25  # displacement length of a trial move
-    h = 1e-6
-    converged = False
-    for _ in range(max_iter):
-        gr = (objective(x + h) - objective(x - h)) / (2 * h)
-        gi = (objective(x + 1j * h) - objective(x - 1j * h)) / (2 * h)
-        grad = gr + 1j * gi
-        gnorm = abs(grad)
-        if gnorm < 1e-9:
-            converged = True
+
+def _objective(z: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return np.sum(w * _log_map(z, m)[1] ** 2, axis=-1)
+
+
+def _karcher_mean(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guarded Newton-Karcher iteration on sets stacked along axis 0.
+
+    z and w have shape (n, k); returns the means (n,) and a converged mask.
+    Each iteration recentres every set at its mean, averages the log maps
+    into the gradient, solves the 2x2 Riemannian Newton system in closed
+    form and moves along the exp map.  A step that would raise the
+    objective by more than rounding is halved until it does not, per set,
+    so the objective never increases.  A set converges when its accepted
+    step is shorter than _TOL or than rounding can resolve at its mean,
+    or when no halving descends at working precision.
+    """
+    m = np.sum(w * z, axis=-1) / np.sum(w, axis=-1)
+    f = _objective(z, w, m)
+    converged = np.zeros(m.shape, dtype=bool)
+    for _ in range(KARCHER_MAX_ITER):
+        act = np.flatnonzero(~converged)
+        if act.size == 0:
             break
-        # move a fixed length along the downhill direction; halving the
-        # length rather than a raw multiplier keeps steep objectives
-        # (points near the edge of the disk) from stalling
-        while step > 1e-10:
-            cand = project(x - (step / gnorm) * grad)
-            fc = objective(cand)
-            if fc < fx:
-                x, fx = cand, fc
-                step = min(step * 2.0, 0.5)
+        za, wa, ma, fa = z[act], w[act], m[act], f[act] * (1.0 + 8 * _EPS)
+        v, d = _log_map(za, ma)
+        # Hessian of the halved objective at the mean: 1 along each geodesic
+        # and 2d coth(2d) across it (the metric has curvature -4).  As a
+        # complex-linear map it is s -> a s + b conj(s).
+        c = np.where(d > 1e-8, 2.0 * d / np.tanh(np.maximum(2.0 * d, 1e-300)), 1.0)
+        a = 0.5 * np.sum(wa * (1.0 + c), axis=-1)
+        b = 0.5 * np.sum(wa * (1.0 - c) * (v / np.where(d > 0, d, 1.0)) ** 2, axis=-1)
+        g = np.sum(wa * v, axis=-1)
+        s = (a * g - b * np.conj(g)) / (a * a - np.abs(b) ** 2)
+        cand, fc = ma.copy(), np.full(act.size, np.inf)
+        for _ in range(60):
+            bad = np.flatnonzero(~(fc <= fa))
+            if bad.size == 0:
                 break
-            step *= 0.5
-        else:
-            converged = True  # step collapsed: first-order stationary
-            break
-    # on iteration cap the best iterate is still returned; the flag says so
-    return (complex(x), converged) if full_output else complex(x)
+            cand[bad] = _exp_map(ma[bad], s[bad])
+            fc[bad] = _objective(za[bad], wa[bad], cand[bad])
+            s[bad] *= np.where(fc[bad] <= fa[bad], 1.0, 0.5)
+        moved = fc <= fa
+        m[act[moved]] = cand[moved]
+        f[act[moved]] = fc[moved]
+        # near the boundary adjacent floats lie far apart in the metric
+        resolvable = np.maximum(_TOL, 16 * _EPS / (1.0 - np.abs(ma) ** 2))
+        converged[act] = ~moved | (np.abs(s) <= resolvable)
+    return m, converged
 
 
-def _window_range(i: int, n: int, window: int) -> tuple[int, int]:
-    # window cells i - (window-1)//2 .. i + window//2, clipped at the edges
-    lo = max(0, i - (window - 1) // 2)
-    hi = min(n, i + window // 2 + 1)
-    return lo, hi
+def frechet_mean(points, weights=None, *, stats: dict | None = None):
+    """Weighted Frechet mean argmin_mu sum_k w_k d(mu, mu_k)^2 in the disk.
+
+    points and weights have shape (..., k): each index of the leading
+    axes is one set of k points, and the result has the leading shape (a
+    complex number for 1-D input).  Zero weights are allowed, so ragged
+    sets can be padded; a padded point is ignored whatever its value.
+
+    Computed by the Karcher iteration (Karcher 1977): recentre at the
+    current mean with a Mobius map, average the artanh log maps, step
+    along the tanh exp map and map back.  The step is the Riemannian
+    Newton step, halved per set until the objective does not rise beyond
+    rounding: the undamped Karcher step can cycle near the boundary.  A
+    set stops when its step falls below 1e-12 or after KARCHER_MAX_ITER
+    iterations.  A given stats dict gets the number of sets and of sets
+    stopped by the cap added to "karcher_sets" and "karcher_not_converged".
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    w = np.ones(pts.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    if pts.shape[-1] == 0:
+        raise ValueError("need at least one point")
+    if w.shape != pts.shape or not np.all(w >= 0) or np.any(w.sum(axis=-1) <= 0):
+        raise ValueError("weights must be non-negative with positive sum per set")
+    _check_disk(pts[w > 0], "points")
+    k = pts.shape[-1]
+    mean, converged = _karcher_mean(
+        np.where(w > 0, pts, 0.0).reshape(-1, k), w.reshape(-1, k)
+    )
+    missed = int(np.sum(~converged))
+    if missed:
+        log.warning("%d of %d Karcher means hit the iteration cap", missed, mean.size)
+    if stats is not None:
+        stats["karcher_sets"] = stats.get("karcher_sets", 0) + mean.size
+        stats["karcher_not_converged"] = stats.get("karcher_not_converged", 0) + missed
+    return complex(mean[0]) if pts.ndim == 1 else mean.reshape(pts.shape[:-1])
+
+
+def _window(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    # cells i - (window-1)//2 .. i + window//2 of each row i, clipped to the
+    # lattice: indices (n, window) and a mask of the cells inside it
+    idx = np.arange(n)[:, None] - (window - 1) // 2 + np.arange(window)
+    return np.clip(idx, 0, n - 1), (idx >= 0) & (idx < n)
 
 
 def smooth_dilatation(
@@ -155,6 +194,7 @@ def smooth_dilatation(
     window: int = 4,
     *,
     smooth_phi: bool = False,
+    stats: dict | None = None,
 ) -> DilatationScaleField:
     """Sliding-window Frechet (p=2) smoothing of the dilatation field.
 
@@ -162,7 +202,8 @@ def smooth_dilatation(
     rectangle that overlaps the field near the boundary.  Missing blocks
     are imputed from the available entries of their patch.  phi is left
     untouched unless smooth_phi is set, in which case it is smoothed as
-    exp(mean log phi) over the same patches.
+    exp(mean log phi) over the same patches.  Patches are padded to
+    window^2 entries with zero weights for one frechet_mean call (with stats).
     """
     nbx = field.geometry.get("nbx")
     nby = field.geometry.get("nby")
@@ -170,88 +211,79 @@ def smooth_dilatation(
         raise ValueError("field geometry lacks a consistent block lattice")
     if window < 1 or window > min(nbx, nby):
         raise ValueError(f"window {window} does not fit the {nbx}x{nby} block lattice")
-    mu2 = field.mu.reshape(nbx, nby)
-    ok2 = np.isin(field.status, (STATUS_OK, STATUS_IMPUTED)).reshape(nbx, nby)
-    phi2 = field.phi.reshape(nbx, nby)
-    new_mu = np.array(mu2)
-    new_phi = np.array(phi2)
-    new_status = np.array(field.status, dtype=object).reshape(nbx, nby)
-    for bx in range(nbx):
-        xlo, xhi = _window_range(bx, nbx, window)
-        for by in range(nby):
-            ylo, yhi = _window_range(by, nby, window)
-            patch_ok = ok2[xlo:xhi, ylo:yhi]
-            vals = mu2[xlo:xhi, ylo:yhi][patch_ok]
-            if vals.size == 0:
-                new_status[bx, by] = STATUS_MISSING
-                continue
-            new_mu[bx, by] = frechet_mean(vals)
-            if smooth_phi:
-                new_phi[bx, by] = np.exp(np.mean(np.log(phi2[xlo:xhi, ylo:yhi][patch_ok])))
-            if not ok2[bx, by]:
-                new_status[bx, by] = STATUS_IMPUTED
-                if not smooth_phi:
-                    new_phi[bx, by] = np.exp(
-                        np.mean(np.log(phi2[xlo:xhi, ylo:yhi][patch_ok]))
-                    )
+    (rows, row_in), (cols, col_in) = _window(nbx, window), _window(nby, window)
+    patch = (rows[:, None, :, None] * nby + cols[None, :, None, :]).reshape(nbx * nby, -1)
+    ok = field.ok_mask()
+    use = (row_in[:, None, :, None] & col_in[None, :, None, :]).reshape(patch.shape)
+    use &= ok[patch]
+    has = use.any(axis=1)
+    mu = field.mu.copy()
+    mu[has] = frechet_mean(np.where(use, field.mu[patch], 0.0)[has], use[has], stats=stats)
+    log_phi = np.log(np.where(use, field.phi[patch], 1.0))
+    phi = field.phi.copy()
+    fill = has if smooth_phi else has & ~ok
+    phi[fill] = np.exp(log_phi[fill].sum(axis=1) / use[fill].sum(axis=1))
+    status = np.array(field.status, dtype=object)
+    status[has & ~ok] = STATUS_IMPUTED
+    status[~has] = STATUS_MISSING
     return replace(
         field,
-        mu=new_mu.ravel(),
-        phi=new_phi.ravel(),
-        status=new_status.ravel(),
+        mu=mu,
+        phi=phi,
+        status=status,
         centers=field.centers.copy(),
         loglik=field.loglik.copy(),
     )
 
 
 def interpolate_dilatation(
-    field: DilatationScaleField, location: complex, *, return_flag: bool = False
+    field: DilatationScaleField,
+    locations,
+    *,
+    return_flag: bool = False,
+    stats: dict | None = None,
 ):
-    """Dilatation at an arbitrary point by bilinear-weighted Frechet mean.
+    """Dilatation at arbitrary points by bilinear-weighted Frechet means.
 
-    The four surrounding block centers contribute with bilinear weights;
-    outside the center lattice the nearest block value is used (flagged
-    when return_flag is set).
+    The four block centers around each location contribute with bilinear
+    weights, skipping unavailable corners, in one frechet_mean call (with
+    stats).  A location outside the center lattice, or with no available
+    corner, takes the value of the nearest available block, and
+    return_flag marks it.  Scalar or array locations give values alike.
     """
+    loc = np.asarray(locations, dtype=np.complex128)
+    flat = loc.ravel()
     geo = field.geometry
     nbx, nby = geo["nbx"], geo["nby"]
-    cdx = geo["block"] * geo["spacing"][0]
-    cdy = geo["block"] * geo["spacing"][1]
-    cx0 = field.centers[0].real
-    cy0 = field.centers[0].imag
-    fx = (location.real - cx0) / cdx
-    fy = (location.imag - cy0) / cdy
-    extrapolated = not (0 <= fx <= nbx - 1 and 0 <= fy <= nby - 1)
-    ok = np.isin(field.status, (STATUS_OK, STATUS_IMPUTED))
-    if extrapolated:
-        order = np.argsort(np.abs(field.centers - location))
-        pick = order[ok[order]]
-        if pick.size == 0:
-            raise ValueError("no available block values to interpolate from")
-        value = complex(field.mu[pick[0]])
-        return (value, True) if return_flag else value
-    i0 = int(np.clip(np.floor(fx), 0, nbx - 2)) if nbx > 1 else 0
-    j0 = int(np.clip(np.floor(fy), 0, nby - 2)) if nby > 1 else 0
-    tx = fx - i0
-    ty = fy - j0
-    corners = []
-    weights = []
-    for di, dj, wgt in (
-        (0, 0, (1 - tx) * (1 - ty)),
-        (1, 0, tx * (1 - ty)) if nbx > 1 else (0, 0, 0.0),
-        (0, 1, (1 - tx) * ty) if nby > 1 else (0, 0, 0.0),
-        (1, 1, tx * ty) if nbx > 1 and nby > 1 else (0, 0, 0.0),
-    ):
-        k = (i0 + di) * nby + (j0 + dj)
-        if wgt > 1e-12 and ok[k]:
-            corners.append(field.mu[k])
-            weights.append(wgt)
-    if not corners:
-        order = np.argsort(np.abs(field.centers - location))
-        pick = order[ok[order]]
-        if pick.size == 0:
-            raise ValueError("no available block values to interpolate from")
-        value = complex(field.mu[pick[0]])
-        return (value, True) if return_flag else value
-    value = frechet_mean(np.array(corners), np.array(weights))
-    return (value, False) if return_flag else value
+    fx = (flat.real - field.centers[0].real) / (geo["block"] * geo["spacing"][0])
+    fy = (flat.imag - field.centers[0].imag) / (geo["block"] * geo["spacing"][1])
+    inside = np.flatnonzero((fx >= 0) & (fx <= nbx - 1) & (fy >= 0) & (fy <= nby - 1))
+    ok = field.ok_mask()
+    # corners (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1), clipped on a
+    # one-block-wide lattice, where their weight is 0
+    i0 = np.clip(np.floor(fx[inside]), 0, max(nbx - 2, 0)).astype(np.intp)[:, None]
+    j0 = np.clip(np.floor(fy[inside]), 0, max(nby - 2, 0)).astype(np.intp)[:, None]
+    di, dj = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    corner = np.minimum(i0 + di, nbx - 1) * nby + np.minimum(j0 + dj, nby - 1)
+    tx, ty = fx[inside, None] - i0, fy[inside, None] - j0
+    wgt = np.where(di, tx, 1 - tx) * np.where(dj, ty, 1 - ty)
+    use = (wgt > 1e-12) & ok[corner]
+    has = use.any(axis=1)
+
+    values = np.empty(flat.size, dtype=np.complex128)
+    values[inside[has]] = frechet_mean(
+        np.where(use, field.mu[corner], 0.0)[has], np.where(use, wgt, 0.0)[has], stats=stats
+    )
+    nearest = np.ones(flat.size, dtype=bool)
+    nearest[inside[has]] = False
+    pick = np.flatnonzero(nearest)
+    avail = np.flatnonzero(ok)
+    if pick.size and not avail.size:
+        raise ValueError("no available block values to interpolate from")
+    if pick.size:
+        dist = np.abs(flat[pick, None] - field.centers[avail])
+        values[pick] = field.mu[avail[np.argmin(dist, axis=1)]]
+    if loc.ndim == 0:
+        return (complex(values[0]), bool(nearest[0])) if return_flag else complex(values[0])
+    values, nearest = values.reshape(loc.shape), nearest.reshape(loc.shape)
+    return (values, nearest) if return_flag else values

@@ -335,7 +335,7 @@ def add_noise(field: SampleField, fraction: float, seed: int) -> SampleField:
 class DeformationSpec:
     """An orientation-preserving planar map applied to observation sites.
 
-    kind is one of "rotational", "affine", "grid-map", "composed-flow".
+    kind is one of "rotational", "affine", "grid-map".
     The map plays the role of finv: observations are the isotropic field
     evaluated at the mapped locations.
     """
@@ -382,27 +382,7 @@ class DeformationSpec:
         spec._validate()
         return spec
 
-    @classmethod
-    def composed_flow(cls, mu_star: ComplexGrid, steps: int = 20):
-        """Map produced by flowing the identity to prescribed dilatation mu_star."""
-        domain = (
-            mu_star.origin[0],
-            mu_star.origin[0] + (mu_star.nx - 1) * mu_star.spacing[0],
-            mu_star.origin[1],
-            mu_star.origin[1] + (mu_star.ny - 1) * mu_star.spacing[1],
-        )
-        return cls("composed-flow", {"mu_star": mu_star, "steps": int(steps)}, domain)
-
     # -- evaluation --------------------------------------------------------
-
-    def _materialized(self) -> ComplexGrid:
-        grid = self.params.get("_cache")
-        if grid is None:
-            from .flow import reconstruct_map  # deferred: flow imports this module
-
-            grid, _ = reconstruct_map(self.params["mu_star"], self.params["steps"])
-            self.params["_cache"] = grid  # params dict is private mutable state
-        return grid
 
     def _validate(self) -> None:
         x0, x1, y0, y1 = self.domain
@@ -436,8 +416,6 @@ class DeformationSpec:
             return a * pts + b * np.conj(pts) + d
         if self.kind == "grid-map":
             return grid_sample(self.params["grid"], pts)
-        if self.kind == "composed-flow":
-            return grid_sample(self._materialized(), pts)
         raise ValueError(f"unknown deformation kind {self.kind!r}")
 
 
@@ -458,8 +436,6 @@ def apply_deformation(spec: DeformationSpec, locations) -> np.ndarray:
             f"location {z} lies outside the deformation domain "
             f"[{x0}, {x1}] x [{y0}, {y1}]"
         )
-    if spec.kind == "composed-flow":
-        spec._materialized()  # ensure the flow ran and was vetted
     return spec._evaluate(pts)
 
 

@@ -40,7 +40,6 @@ class FlowState:
     sites: np.ndarray  # original lattice sites z_j (fixed)
     points: np.ndarray  # current images f_t(z_j)
     dz_f: np.ndarray  # d/dz of f_t at the sites
-    domain: tuple[float, float, float, float]  # current enclosing box
 
     @classmethod
     def identity(cls, mu_star: ComplexGrid) -> "FlowState":
@@ -50,7 +49,6 @@ class FlowState:
             sites=sites,
             points=sites.copy(),
             dz_f=np.ones(sites.size, dtype=np.complex128),
-            domain=_enclosing_box(sites),
         )
 
 
@@ -182,7 +180,6 @@ def flow_step(
         sites=state.sites,
         points=new_points,
         dz_f=new_dzf,
-        domain=_enclosing_box(new_points),
     )
 
 

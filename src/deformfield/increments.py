@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import atomic_write_text
-
 # relative singular-value cutoff for the numerical rank of the monomial basis
 RANK_TOL = 1e-10
 
@@ -27,10 +25,6 @@ class ContrastMatrix:
     @property
     def n_contrasts(self) -> int:
         return self.rows.shape[0]
-
-    def to_csv(self, path: str) -> None:
-        lines = [",".join(repr(v) for v in row) for row in self.rows]
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def monomial_basis(locations, degree: int) -> np.ndarray:

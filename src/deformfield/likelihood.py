@@ -43,7 +43,6 @@ class NeighborhoodPartition:
     blocks: list
     centers: np.ndarray
     geometry: dict
-    regular: bool = True
 
     @property
     def n_blocks(self) -> int:
@@ -100,7 +99,7 @@ def partition_grid(
         "spacing": tuple(spacing),
         "dropped": dropped,
     }
-    return NeighborhoodPartition(blocks, centers, geometry, regular=True)
+    return NeighborhoodPartition(blocks, centers, geometry)
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,11 @@ def _mu_from_x(x: np.ndarray) -> complex:
         return 0.0 + 0.0j
     mu = np.tanh(r) * np.exp(1j * np.arctan2(t2, t1))
     if abs(mu) > MU_CAP:
-        mu *= MU_CAP / abs(mu)
+        scale = MU_CAP / abs(mu)
+        # the rescaled modulus can round to just above the cap
+        while abs(complex(mu * scale)) > MU_CAP:
+            scale = np.nextafter(scale, 0.0)
+        mu *= scale
     return complex(mu)
 
 

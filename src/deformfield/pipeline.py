@@ -35,7 +35,8 @@ from .grids import (
     read_grd,
     write_grd,
 )
-from .likelihood import DilatationScaleField, estimate_alpha, estimate_field, partition_grid
+from .likelihood import STATUS_IMPUTED, STATUS_MISSING, DilatationScaleField, estimate_alpha
+from .likelihood import estimate_field, partition_grid
 from .svgplots import ellipse_field_svg, scatter_svg, warped_grid_svg
 
 log = logging.getLogger(__name__)
@@ -146,14 +147,15 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
     """Smooth the dilatation field, flow to a map, correct the scale."""
     cfg.validate()
     est = _load_estimates(cfg, out_dir, force)
-    smoothed = smooth_dilatation(est, cfg.smooth_window)
+    stats: dict = {}
+    smoothed = smooth_dilatation(est, cfg.smooth_window, stats=stats)
 
     m = cfg.flow_lattice
     x0, x1, y0, y1 = cfg.domain()
     spacing = ((x1 - x0) / (m - 1), (y1 - y0) / (m - 1))
     mu_star = ComplexGrid(m, m, (x0, y0), spacing, np.zeros((m, m), dtype=np.complex128))
-    mu_vals = np.array(
-        [interpolate_dilatation(smoothed, complex(z)) for z in mu_star.locations()]
+    mu_vals, nearest = interpolate_dilatation(
+        smoothed, mu_star.locations(), return_flag=True, stats=stats
     )
     wild = np.abs(mu_vals) > MU_STAR_CAP
     if np.any(wild):
@@ -183,7 +185,18 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
         os.path.join(out_dir, "reconstruct_meta.json"),
         "reconstruct",
         cfg,
-        {"alpha": est.alpha_used},
+        {
+            "alpha": est.alpha_used,
+            # deterministic counts only: reruns must stay byte-identical
+            "counts": {
+                "blocks_imputed": int(np.sum(smoothed.status == STATUS_IMPUTED)),
+                "blocks_missing": int(np.sum(smoothed.status == STATUS_MISSING)),
+                "karcher_sets": stats.get("karcher_sets", 0),
+                "karcher_not_converged": stats.get("karcher_not_converged", 0),
+                "points_extrapolated": int(np.sum(nearest)),
+                "mu_star_clipped": int(np.sum(wild)),
+            },
+        },
     )
     return f_hat
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diskgeom import mu_to_ellipse
-from .grids import ComplexGrid, Grid, atomic_write_text
+from .grids import ComplexGrid, atomic_write_text
 
 _W = 640
 _PAD = 40
@@ -43,47 +43,6 @@ def _document(width, height, body: list[str]) -> str:
         'fill="white" stroke="none"/>'
     )
     return "\n".join([head, frame, *body, "</svg>"]) + "\n"
-
-
-def _diverging_color(t: float) -> str:
-    """Blue-white-red ramp for t in [-1, 1]."""
-    t = float(np.clip(t, -1.0, 1.0))
-    if t < 0:
-        r, g, b = 1.0 + t, 1.0 + t, 1.0
-    else:
-        r, g, b = 1.0, 1.0 - t, 1.0 - t
-    return f"rgb({int(255 * r)},{int(255 * g)},{int(255 * b)})"
-
-
-def heatmap_svg(path: str, grid: Grid, title: str = "") -> None:
-    """Filled-cell rendering of a scalar grid, symmetric around the median."""
-    vals = grid.values
-    finite = vals[np.isfinite(vals)]
-    mid = float(np.median(finite)) if finite.size else 0.0
-    spread = float(np.max(np.abs(finite - mid))) if finite.size else 1.0
-    spread = spread if spread > 0 else 1.0
-    xs, ys = grid.x(), grid.y()
-    dx, dy = grid.spacing
-    width, height, to_pix = _scene(
-        xs[0] - dx / 2, xs[-1] + dx / 2, ys[0] - dy / 2, ys[-1] + dy / 2
-    )
-    body = []
-    if title:
-        body.append(f'<text x="{_PAD}" y="20" font-size="14">{title}</text>')
-    cw = dx * (width - 2 * _PAD) / (xs[-1] - xs[0] + dx)
-    ch = dy * (height - 2 * _PAD) / (ys[-1] + dy - ys[0])
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            v = vals[i, j]
-            color = "rgb(200,200,200)" if not np.isfinite(v) else _diverging_color(
-                (v - mid) / spread
-            )
-            px, py = to_pix(xs[i] - dx / 2, ys[j] + dy / 2)
-            body.append(
-                f'<rect x="{px:.1f}" y="{py:.1f}" width="{cw + 0.5:.1f}" '
-                f'height="{ch + 0.5:.1f}" fill="{color}" stroke="none"/>'
-            )
-    atomic_write_text(path, _document(width, height, body))
 
 
 def ellipse_field_svg(path: str, centers, mu, title: str = "") -> None:

@@ -59,6 +59,29 @@ def test_missing_config_file_exits_four(tmp_path, capsys):
     assert "i/o failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("block", 2),
+        ("smooth_window", 4),  # 30 // 10 = 3 blocks per side
+        ("flow_lattice", 1),
+        ("flow_steps", 0),
+        ("harmonic_n", 5),  # 2n+1 = 11 fit points among 9 blocks
+        ("d1_samples", 0),
+        ("sim_block", -1),
+        ("alpha_max", 0.05),
+        ("threads", 0),
+    ],
+)
+def test_out_of_range_setting_exits_two(tmp_path, capsys, field, value):
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, out_dir=str(tmp_path / "out"), **{field: value})
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_estimate_before_simulate_exits_two(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     _mini_cfg_file(path, out_dir=str(tmp_path / "out"))

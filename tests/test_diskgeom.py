@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deformfield import diskgeom
 from deformfield.diskgeom import (
     EllipseParams,
     ellipse_to_mu,
@@ -140,26 +141,69 @@ def test_ellipse_validation():
 # Frechet means
 
 
+def _objective(m, pts, w):
+    m = np.asarray(m)[..., None]
+    return np.sum(w * hyperbolic_distance(m, pts) ** 2, axis=-1)
+
+
+def _stress_sets(rng, n=500):
+    # weighted 4-point sets with |mu| in [0.7, 0.999] spread around the
+    # disk: the undamped Karcher step cycles on these
+    r = rng.uniform(0.7, 0.999, (n, 4))
+    pts = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (n, 4)))
+    return pts, rng.uniform(0.05, 1.0, (n, 4))
+
+
 def test_frechet_mean_single_point():
-    val, converged = frechet_mean([0.3 - 0.2j], full_output=True)
-    assert val == 0.3 - 0.2j
-    assert converged is True
+    stats = {}
+    assert frechet_mean([0.3 - 0.2j], stats=stats) == 0.3 - 0.2j
+    assert stats == {"karcher_sets": 1, "karcher_not_converged": 0}
 
 
 def test_frechet_mean_two_point_midpoint():
     # hyperbolic midpoint of 0 and 0.8 sits at tanh(artanh(0.8)/2) = 0.5
     m = frechet_mean([0.0, 0.8])
-    assert abs(m - 0.5) < 1e-3
+    assert abs(m - 0.5) < 1e-12
+
+
+def test_frechet_mean_matches_grid_oracle():
+    # brute force: a 0.005 grid over the disk, then a 1e-4 grid around its best
+    rng = np.random.default_rng(19)
+    coarse = np.arange(-0.95, 0.95 + 1e-9, 0.005)
+    coarse = (coarse[:, None] + 1j * coarse[None, :]).ravel()
+    coarse = coarse[np.abs(coarse) < 0.97]
+    fine = np.arange(-0.01, 0.01 + 1e-9, 1e-4)
+    fine = (fine[:, None] + 1j * fine[None, :]).ravel()
+    for k in (2, 4):
+        pts = _random_disk_points(rng, 5 * k, rmax=0.8).reshape(5, k)
+        w = rng.uniform(0.2, 1.0, pts.shape)
+        means = frechet_mean(pts, w)
+        for m, z, wz in zip(means, pts, w):
+            best = coarse[np.argmin(_objective(coarse, z, wz))]
+            near = best + fine
+            oracle = near[np.argmin(_objective(near, z, wz))]
+            assert abs(m - oracle) < 2e-4
+            assert _objective(m, z, wz) <= _objective(oracle, z, wz) + 1e-12
+
+
+def test_frechet_mean_batched_equals_rows():
+    rng = np.random.default_rng(23)
+    pts = _random_disk_points(rng, 60, rmax=0.9).reshape(3, 5, 4)
+    w = rng.uniform(0.0, 1.0, pts.shape)
+    means = frechet_mean(pts, w)
+    assert means.shape == (3, 5)
+    rows = np.array([[frechet_mean(z, wz) for z, wz in zip(pz, pw)] for pz, pw in zip(pts, w)])
+    assert np.max(np.abs(means - rows)) < 1e-14
 
 
 def test_frechet_mean_rotation_equivariance():
     # rotations are isometries, so the mean rotates with the data
     rng = np.random.default_rng(21)
-    pts = _random_disk_points(rng, 6, rmax=0.8)
+    pts = _random_disk_points(rng, 60, rmax=0.8).reshape(10, 6)
     base = frechet_mean(pts)
     for t in (0.9, 2.4):
         rot = frechet_mean(pts * np.exp(1j * t))
-        assert abs(rot - base * np.exp(1j * t)) < 1e-5
+        assert np.max(np.abs(rot - base * np.exp(1j * t))) < 1e-12
 
 
 def test_frechet_mean_first_order_optimality():
@@ -179,25 +223,56 @@ def test_frechet_mean_first_order_optimality():
             (obj(m + h) - obj(m - h)) / (2 * h),
             (obj(m + 1j * h) - obj(m - 1j * h)) / (2 * h),
         )
-        assert abs(g) < 1e-5
+        assert abs(g) < 1e-6
 
 
 def test_frechet_mean_zero_weight_drops_point():
     pts = [0.1, 0.2, 0.95j]
     w = [1.0, 1.0, 0.0]
-    assert abs(frechet_mean(pts, w) - frechet_mean(pts[:2])) < 1e-8
+    assert abs(frechet_mean(pts, w) - frechet_mean(pts[:2])) < 1e-14
+    # padding is ignored whatever it holds, even values outside the disk
+    rng = np.random.default_rng(29)
+    core = _random_disk_points(rng, 12, rmax=0.9).reshape(4, 3)
+    wc = rng.uniform(0.1, 1.0, core.shape)
+    for pad in (0.0, 0.99j, 5.0, np.nan):
+        padded = np.concatenate([core, np.full((4, 2), pad)], axis=1)
+        wp = np.concatenate([wc, np.zeros((4, 2))], axis=1)
+        assert np.max(np.abs(frechet_mean(padded, wp) - frechet_mean(core, wc))) < 1e-14
 
 
-def test_frechet_median_of_symmetric_triple():
-    # p = 1: the middle of three collinear points is the median
-    m = frechet_mean([-0.5, 0.0, 0.5], p=1.0)
-    assert abs(m) < 1e-3
+def test_frechet_mean_never_increases_objective(monkeypatch):
+    pts, w = _stress_sets(np.random.default_rng(37))
+    stats = {}
+    final = frechet_mean(pts, w, stats=stats)
+    assert np.all(np.isfinite(final)) and np.all(np.abs(final) < 1.0)
+    assert stats == {"karcher_sets": 500, "karcher_not_converged": 0}
+    # iterate by iterate the objective never rises from the Euclidean start;
+    # 1e-12 allows for rounding, which artanh amplifies near the boundary
+    prev = _objective(np.sum(w * pts, axis=1) / np.sum(w, axis=1), pts, w)
+    for cap in range(1, 9):
+        monkeypatch.setattr(diskgeom, "KARCHER_MAX_ITER", cap)
+        cur = _objective(frechet_mean(pts, w), pts, w)
+        assert np.all(cur <= prev + 1e-12)
+        prev = cur
+    assert np.all(_objective(final, pts, w) <= prev + 1e-12)
+    # and the end point is a minimum: no probe step around it does better
+    for step in (1e-6, 1e-3):
+        for d in (1, -1, 1j, -1j):
+            probe = final + step * d * (1.0 - np.abs(final) ** 2)
+            assert np.all(_objective(final, pts, w) <= _objective(probe, pts, w) + 1e-12)
 
 
-def test_frechet_mean_reports_flag():
-    out = frechet_mean([0.1, 0.3j, -0.2], full_output=True)
-    assert isinstance(out, tuple) and len(out) == 2
-    assert isinstance(out[1], bool)
+def test_frechet_mean_reports_flag(monkeypatch):
+    # stats accumulate across calls; a set stopped by the cap is counted
+    stats = {}
+    frechet_mean([0.1, 0.3j, -0.2], stats=stats)
+    frechet_mean(np.zeros((4, 2)), stats=stats)
+    assert stats == {"karcher_sets": 5, "karcher_not_converged": 0}
+    monkeypatch.setattr(diskgeom, "KARCHER_MAX_ITER", 1)
+    pts, w = _stress_sets(np.random.default_rng(41), n=20)
+    frechet_mean(pts, w, stats=stats)
+    assert stats["karcher_sets"] == 25
+    assert 0 < stats["karcher_not_converged"] <= 20
 
 
 def test_frechet_mean_validation():
@@ -207,6 +282,10 @@ def test_frechet_mean_validation():
         frechet_mean([0.1, 0.2], [1.0, -0.5])
     with pytest.raises(ValueError):
         frechet_mean([0.1, 0.2], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        frechet_mean([[0.1, 0.2], [0.3, 0.4]], [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        frechet_mean([0.1, 0.2], [1.0, np.nan])
     with pytest.raises(ValueError):
         frechet_mean([1.0])
 
@@ -256,11 +335,18 @@ def test_smooth_imputes_missing_block():
     phi = np.ones(16)
     phi[5] = np.nan
     field = _make_field(4, 4, mu, phi=phi, status=status)
-    sm = smooth_dilatation(field, window=3)
+    stats = {}
+    sm = smooth_dilatation(field, window=3, stats=stats)
     assert sm.status[5] == "imputed"
     assert abs(sm.mu[5] - (0.25 + 0.05j)) < 1e-9
     assert np.isfinite(sm.phi[5])
     assert sm.status[0] == STATUS_OK
+    assert stats == {"karcher_sets": 16, "karcher_not_converged": 0}
+    # a block whose whole window is missing stays missing
+    status[[0, 1, 4]] = STATUS_MISSING
+    sm = smooth_dilatation(_make_field(4, 4, mu, phi=phi, status=status), window=2)
+    assert sm.status[0] == STATUS_MISSING
+    assert sm.status[[1, 4, 5]].tolist() == ["imputed"] * 3
 
 
 def test_smooth_phi_geometric_mean():
@@ -335,3 +421,30 @@ def test_interpolate_skips_missing_corner():
     mid = 0.5 * (field.centers[5] + field.centers[6])
     val = interpolate_dilatation(field, complex(mid))
     assert abs(val - 0.2) < 1e-9
+
+
+def test_interpolate_array_matches_pointwise_loop():
+    rng = np.random.default_rng(47)
+    mu = _random_disk_points(rng, 16, rmax=0.7)
+    status = np.array([STATUS_OK] * 16, dtype=object)
+    status[[5, 6, 9, 10]] = STATUS_MISSING  # the middle cell has no corner left
+    mu[[5, 6, 9, 10]] = np.nan
+    field = _make_field(4, 4, mu, status=status)
+    c = field.centers
+    # a lattice reaching past the centers on every side, plus the exact
+    # centers and the middle of the cell whose four corners are missing
+    xs = np.linspace(c.real.min() - 0.03, c.real.max() + 0.03, 23)
+    ys = np.linspace(c.imag.min() - 0.03, c.imag.max() + 0.03, 19)
+    locs = np.concatenate(
+        [(xs[:, None] + 1j * ys[None, :]).ravel(), c, [0.25 * (c[5] + c[6] + c[9] + c[10])]]
+    )
+    stats = {}
+    values, flags = interpolate_dilatation(field, locs, return_flag=True, stats=stats)
+    loop = [interpolate_dilatation(field, complex(z), return_flag=True) for z in locs]
+    assert np.max(np.abs(values - np.array([v for v, _ in loop]))) < 1e-14
+    assert flags.tolist() == [f for _, f in loop]
+    assert flags[-1] and not flags[-2]  # no-corner point takes the nearest value
+    assert stats["karcher_sets"] == int(np.sum(~flags))
+    grid = interpolate_dilatation(field, locs[: xs.size * ys.size].reshape(xs.size, ys.size))
+    assert grid.shape == (xs.size, ys.size)
+    assert np.array_equal(grid.ravel(), values[: xs.size * ys.size])

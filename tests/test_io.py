@@ -1,6 +1,7 @@
 """Config parsing and the file-oriented pipeline stages."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -13,7 +14,9 @@ from deformfield.config import (
     read_config,
     write_config,
 )
+from deformfield import pipeline
 from deformfield.errors import ConfigError
+from deformfield.grids import read_grd
 from deformfield.pipeline import (
     run_pipeline,
     stage_estimate,
@@ -197,3 +200,55 @@ def test_pipeline_reruns_are_deterministic(tmp_path):
         with open(os.path.join(out_b, name), "rb") as fh:
             blob_b = fh.read()
         assert blob_a == blob_b, name
+
+
+def _reconstruct_counts(cfg, out):
+    stage_reconstruct(cfg, out)
+    with open(os.path.join(out, "reconstruct_meta.json"), "rb") as fh:
+        blob = fh.read()
+    return json.loads(blob)["counts"], blob
+
+
+def test_reconstruct_meta_counts(tmp_path, monkeypatch):
+    cfg = _mini_config(grid_nx=30, grid_ny=30, flow_lattice=16, d1_samples=2000, harmonic_n=2)
+    out = str(tmp_path / "run")
+    stage_simulate(cfg, out)
+    est = stage_estimate(cfg, out)
+    assert est.ok_mask().all()
+    counts, blob = _reconstruct_counts(cfg, out)
+    assert _reconstruct_counts(cfg, out)[1] == blob  # reruns are byte-identical
+    # flow-lattice points outside the 3 x 3 lattice of block centers
+    lattice = np.arange(16) * (0.29 / 15)
+    inside = (lattice >= est.centers.real.min()) & (lattice <= est.centers.real.max())
+    assert counts == {
+        "blocks_imputed": 0,
+        "blocks_missing": 0,
+        "karcher_not_converged": 0,
+        "karcher_sets": 9 + int(inside.sum()) ** 2,
+        "mu_star_clipped": 0,
+        "points_extrapolated": 16 * 16 - int(inside.sum()) ** 2,
+    }
+
+    # plant faults: block 0 goes missing and is imputed from its 2 x 2
+    # window; blocks 4, 5, 7 and 8 hold each other's whole windows, so they
+    # stay missing, and the points of the cell between them fall back to
+    # the nearest available block
+    path = os.path.join(out, "estimates.csv")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for k in (0, 4, 5, 7, 8):
+        lines[k + 1] = lines[k + 1].rsplit(",", 1)[0] + ",missing"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    # the flow cannot integrate a dilatation at the real cap on this small
+    # lattice, so the cap is lowered until part of the field exceeds it
+    monkeypatch.setattr(pipeline, "MU_STAR_CAP", 0.25)
+    planted, blob = _reconstruct_counts(cfg, out)
+    assert _reconstruct_counts(cfg, out)[1] == blob
+    assert planted["blocks_imputed"] == 1
+    assert planted["blocks_missing"] == 4
+    assert planted["points_extrapolated"] > counts["points_extrapolated"]
+    mu_star = read_grd(os.path.join(out, "mustar.grd")).values
+    assert planted["mu_star_clipped"] == int(np.sum(np.isclose(np.abs(mu_star), 0.25)))
+    assert 0 < planted["mu_star_clipped"] < mu_star.size
+    assert planted["karcher_not_converged"] == 0

@@ -15,7 +15,9 @@ from deformfield.fields import (
 )
 from deformfield.increments import increment_matrix
 from deformfield.likelihood import (
+    MU_CAP,
     AnisotropyParams,
+    _mu_from_x,
     DilatationScaleField,
     aniso_g,
     estimate_alpha,
@@ -95,6 +97,26 @@ def test_aniso_params_validation():
         AnisotropyParams(mu=1.0 + 0.0j, phi=1.0)
     with pytest.raises(ValueError):
         AnisotropyParams(mu=0.0 + 0.0j, phi=-1.0)
+
+
+def test_mu_from_search_coordinates_stays_under_cap():
+    # far-out search coordinates clip to the cap; the rescaled modulus must
+    # not round above it (AnisotropyParams would reject the fit), and a
+    # value the plain rescaling already kept under the cap stays bit-identical
+    clipped = 0
+    for r in (8.0, 10.0, 20.0):
+        for a in np.linspace(-np.pi, np.pi, 2001):
+            x = np.array([r * np.cos(a), r * np.sin(a)])
+            mu = _mu_from_x(x)
+            assert MU_CAP - 1e-15 <= abs(mu) <= MU_CAP
+            AnisotropyParams(mu=mu, phi=1.0)
+            plain = np.tanh(np.hypot(*x)) * np.exp(1j * np.arctan2(x[1], x[0]))
+            plain *= MU_CAP / abs(plain)
+            if abs(plain) <= MU_CAP:
+                assert mu == complex(plain)
+            else:
+                clipped += 1
+    assert clipped > 0  # the sweep reaches the rounding case
 
 
 # ---------------------------------------------------------------------------
