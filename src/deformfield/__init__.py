@@ -30,6 +30,7 @@ from .diskgeom import (
     smooth_dilatation,
 )
 from .errors import (
+    ArtifactError,
     ConfigError,
     DeformFieldError,
     EstimationError,
@@ -80,6 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnisotropyParams",
+    "ArtifactError",
     "ComplexGrid",
     "ConfigError",
     "ContrastMatrix",

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import PipelineConfig, read_config, write_config
-from .errors import ConfigError, NumericalError
+from .errors import ArtifactError, ConfigError, NumericalError
 from . import pipeline
 
 log = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="worker threads for blockwise estimation "
-            "(default: config value or DEFORMFIELD_THREADS)",
+            help="accepted and validated for older scripts; estimation "
+            "runs in one batched thread and results do not depend on it",
         )
         cmd.add_argument(
             "--force",
@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (OSError, ArtifactError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
 

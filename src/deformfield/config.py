@@ -64,7 +64,7 @@ class PipelineConfig:
     harmonic_n: int = 8
     d1_samples: int = 20000
     out_dir: str = "out"
-    threads: int = 1
+    threads: int = 1  # accepted for older configs; no stage reads it
 
     def validate(self) -> None:
         if self.family not in _FAMILIES:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError
-(and subclasses) -> 3, OSError -> 4.
+(and subclasses) -> 3, OSError and ArtifactError -> 4.
 """
 
 
@@ -11,6 +11,10 @@ class DeformFieldError(Exception):
 
 class ConfigError(DeformFieldError):
     """Malformed configuration file, unknown key, or bad option value."""
+
+
+class ArtifactError(DeformFieldError, ValueError):
+    """A run artifact on disk is truncated or malformed."""
 
 
 class NumericalError(DeformFieldError):

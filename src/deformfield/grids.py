@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ArtifactError
+
 GRD_MAGIC = b"GRD1"
 _GRD_HEADER = struct.Struct("<4sBIIdddd")  # magic, kind, nx, ny, x0, y0, dx, dy
 
@@ -150,17 +152,17 @@ def read_grd(path: str) -> Grid:
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < _GRD_HEADER.size:
-        raise ValueError(f"{path}: truncated GRD1 header")
+        raise ArtifactError(f"{path}: truncated GRD1 header")
     magic, kind, nx, ny, x0, y0, dx, dy = _GRD_HEADER.unpack_from(raw)
     if magic != GRD_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {GRD_MAGIC!r}")
+        raise ArtifactError(f"{path}: bad magic {magic!r}, expected {GRD_MAGIC!r}")
     if kind not in (0, 1):
-        raise ValueError(f"{path}: unknown value kind {kind}")
+        raise ArtifactError(f"{path}: unknown value kind {kind}")
     count = nx * ny
     itemsize = 16 if kind else 8
     body = raw[_GRD_HEADER.size:]
     if len(body) != count * itemsize:
-        raise ValueError(
+        raise ArtifactError(
             f"{path}: value block holds {len(body)} bytes, expected {count * itemsize}"
         )
     dtype = "<c16" if kind else "<f8"

@@ -117,19 +117,26 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     partition = partition_grid(
         grid.nx, grid.ny, cfg.block, origin=grid.origin, spacing=grid.spacing
     )
-    alpha_hat = estimate_alpha(data, partition, alpha_max=cfg.alpha_max)
+    stats: dict = {}
+    alpha_hat = estimate_alpha(data, partition, alpha_max=cfg.alpha_max, stats=stats)
     log.info("fractal index estimate: %.4f", alpha_hat)
-    est = estimate_field(
-        data,
-        partition,
-        alpha_hat,
-        alpha_max=cfg.alpha_max,
-        threads=cfg.threads,
-    )
+    est = estimate_field(data, partition, alpha_hat, alpha_max=cfg.alpha_max, stats=stats)
     est.to_csv(os.path.join(out_dir, "estimates.csv"))
+    ok = est.ok_mask()
     est.write_sidecar(
         os.path.join(out_dir, "estimates_meta.json"),
-        extra={"stage": "estimate", "config_hash": cfg.config_hash()},
+        extra={
+            "stage": "estimate",
+            "config_hash": cfg.config_hash(),
+            # deterministic counts only: reruns must stay byte-identical
+            "counts": {
+                "blocks_ok": int(ok.sum()),
+                "blocks_missing": int((~ok).sum()),
+                "nll_evals": stats.get("nll_evals", 0),
+                "searches_at_maxfev": stats.get("searches_at_maxfev", 0),
+                "alpha_evals": stats["alpha_evals"],
+            },
+        },
     )
     return est
 

@@ -89,6 +89,19 @@ def test_estimate_before_simulate_exits_two(tmp_path, capsys):
     assert "missing upstream" in capsys.readouterr().err
 
 
+def test_truncated_field_exits_four(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["simulate", "--config", str(path)]) == 0
+    blob = (out / "field.grd").read_bytes()
+    (out / "field.grd").write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and "field.grd" in err and err.count("\n") == 1
+
+
 def test_bad_threads_env_exits_two(tmp_path, capsys, monkeypatch):
     path = tmp_path / "run.cfg"
     _mini_cfg_file(path, out_dir=str(tmp_path / "out"))

@@ -16,7 +16,7 @@ from deformfield.config import (
 )
 from deformfield import pipeline
 from deformfield.errors import ConfigError
-from deformfield.grids import read_grd
+from deformfield.grids import read_grd, write_grd
 from deformfield.pipeline import (
     run_pipeline,
     stage_estimate,
@@ -200,6 +200,45 @@ def test_pipeline_reruns_are_deterministic(tmp_path):
         with open(os.path.join(out_b, name), "rb") as fh:
             blob_b = fh.read()
         assert blob_a == blob_b, name
+
+
+def _estimate_counts(cfg, out):
+    stage_estimate(cfg, out)
+    with open(os.path.join(out, "estimates_meta.json"), "rb") as fh:
+        blob = fh.read()
+    return json.loads(blob)["counts"], blob
+
+
+def test_estimate_meta_counts_repeat(tmp_path):
+    cfg = _mini_config(grid_nx=30, grid_ny=30)
+    out = str(tmp_path / "run")
+    stage_simulate(cfg, out)
+    counts, blob = _estimate_counts(cfg, out)
+    assert _estimate_counts(cfg, out)[1] == blob  # reruns are byte-identical
+    assert set(counts) == {
+        "blocks_ok", "blocks_missing", "nll_evals", "searches_at_maxfev", "alpha_evals"
+    }
+    assert counts["blocks_ok"] == 9 and counts["blocks_missing"] == 0
+    # 5 searches per block; each starts with a 3-vertex simplex and stops at 400
+    assert 9 * 5 * 3 < counts["nll_evals"] <= 9 * 5 * 400
+    assert 0 <= counts["searches_at_maxfev"] <= 9 * 5
+    assert counts["alpha_evals"] >= 2
+
+
+def test_estimate_meta_counts_react_to_degenerate_block(tmp_path):
+    cfg = _mini_config(grid_nx=30, grid_ny=30)
+    out = str(tmp_path / "run")
+    grid = stage_simulate(cfg, out)
+    counts, _ = _estimate_counts(cfg, out)
+    values = grid.values.copy()
+    values[:10, :10] = 1.5  # block 0 becomes constant: no contrast signal
+    write_grd(grid.with_values(values), os.path.join(out, "field.grd"))
+    planted, blob = _estimate_counts(cfg, out)
+    assert _estimate_counts(cfg, out)[1] == blob
+    assert planted["blocks_ok"] == 8 and planted["blocks_missing"] == 1
+    # the degenerate block is never searched
+    assert planted["nll_evals"] < counts["nll_evals"]
+    assert planted["alpha_evals"] >= 2
 
 
 def _reconstruct_counts(cfg, out):
