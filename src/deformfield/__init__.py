@@ -66,7 +66,6 @@ from .likelihood import (
     estimate_alpha,
     estimate_field,
     estimate_theta,
-    neg_loglik_alpha,
     partition_grid,
 )
 from .pipeline import (
@@ -129,7 +128,6 @@ __all__ = [
     "mobius_diff",
     "monomial_basis",
     "mu_to_ellipse",
-    "neg_loglik_alpha",
     "numeric_dilatation",
     "p_alpha",
     "parse_config",

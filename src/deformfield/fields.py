@@ -32,6 +32,10 @@ POLY_FRACTIONAL = "polynomial-plus-fractional"
 #: variance scale.  Shared by simulation and likelihood code.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
+#: Most locations drawn by one dense factorization; the pipeline refuses
+#: larger untiled lattices up front.
+MAX_EXACT_SIM = 20000
+
 
 def p_alpha(alpha: float) -> int:
     """Order of the even-polynomial part removed before the fractional term.
@@ -250,7 +254,7 @@ def simulate_isotropic(
     locations,
     seed: int,
     *,
-    max_exact: int = 20000,
+    max_exact: int = MAX_EXACT_SIM,
     blocks=None,
 ) -> SampleField:
     """Draw one realization of the isotropic field at arbitrary locations.

@@ -3,7 +3,9 @@
 The target map is reached by flowing the identity: along the schedule
 mu_t = t * mu_star the tracked lattice images move with a velocity field
 whose d/dzbar equals a source term sigma_t, obtained from two Poisson
-solves with zero Dirichlet data on an enclosing box.  Euler time
+solves with zero Dirichlet data on an enclosing box.  The source term
+reaches the box by linear interpolation on the triangles of the tracked
+lattice, so it is zero outside the image of the lattice.  Euler time
 stepping advances both the images and the z-derivative of the map,
 which the source term needs at the next step.
 """
@@ -15,16 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.interpolate import (
-    LinearNDInterpolator,
-    NearestNDInterpolator,
-    RegularGridInterpolator,
-)
-from scipy.spatial import QhullError
 
-from .errors import FlowError
+from .errors import FlowError, OrientationError
 from .fields import numeric_dilatation
-from .grids import ComplexGrid, Grid
+from .grids import ComplexGrid, Grid, grid_sample
 
 log = logging.getLogger(__name__)
 
@@ -37,19 +33,13 @@ class FlowState:
     """Transported lattice at flow time t in [0, 1]."""
 
     t: float
-    sites: np.ndarray  # original lattice sites z_j (fixed)
-    points: np.ndarray  # current images f_t(z_j)
+    points: np.ndarray  # current images f_t(z_j) of the lattice sites z_j
     dz_f: np.ndarray  # d/dz of f_t at the sites
 
     @classmethod
     def identity(cls, mu_star: ComplexGrid) -> "FlowState":
-        sites = mu_star.locations()
-        return cls(
-            t=0.0,
-            sites=sites,
-            points=sites.copy(),
-            dz_f=np.ones(sites.size, dtype=np.complex128),
-        )
+        points = mu_star.locations()
+        return cls(t=0.0, points=points, dz_f=np.ones(points.size, dtype=np.complex128))
 
 
 def _enclosing_box(points: np.ndarray) -> tuple[float, float, float, float]:
@@ -87,36 +77,44 @@ def poisson_solve_dirichlet(rhs: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def _scatter_to_box(
-    points: np.ndarray, values: np.ndarray, box, n: int
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Linear scattered interpolation onto the box lattice, zero outside the hull."""
-    x0, x1, y0, y1 = box
-    h = (x1 - x0) / (n - 1)
-    xs = x0 + h * np.arange(n)
-    ys = y0 + h * np.arange(n)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    xy = np.column_stack([points.real, points.imag])
-    stacked = np.column_stack([values.real, values.imag])
-    try:
-        interp = LinearNDInterpolator(xy, stacked)
-        grid = interp(np.column_stack([xx.ravel(), yy.ravel()]))
-    except QhullError:  # degenerate cloud: fall back to nearest neighbor
-        interp = NearestNDInterpolator(xy, stacked)
-        grid = interp(np.column_stack([xx.ravel(), yy.ravel()]))
-    grid = np.nan_to_num(grid, nan=0.0)
-    sigma = (grid[:, 0] + 1j * grid[:, 1]).reshape(n, n)
-    return sigma, h, xs, ys
-
-
-def sigma_field(
-    mu_star: ComplexGrid, state: FlowState, *, box_n: int | None = None
+    corners: np.ndarray, values: np.ndarray, area2: np.ndarray, box, n: int
 ) -> ComplexGrid:
+    """Linear interpolation on triangles onto the box lattice, zero outside them.
+
+    corners and values hold the vertices of each triangle, shape (3, count);
+    area2, twice each area, must be positive so the triangles do not overlap.
+    """
+    x0, x1, y0, _ = box
+    h = (x1 - x0) / (n - 1)
+    origin = complex(x0, y0)
+    e1, e2 = corners[1] - corners[0], corners[2] - corners[0]
+    dv1, dv2 = values[1] - values[0], values[2] - values[0]
+    # every triangle's bounding box starts at box node (i0, j0), none is wider than reach
+    rel = (corners - origin) / h
+    i0 = np.ceil(rel.real.min(axis=0) - 1e-9).astype(np.int64)
+    j0 = np.ceil(rel.imag.min(axis=0) - 1e-9).astype(np.int64)
+    reach = int(np.ceil(max(np.ptp(rel.real, axis=0).max(), np.ptp(rel.imag, axis=0).max())))
+    grid = np.zeros((n, n), dtype=np.complex128)
+    for di in range(reach + 1):
+        for dj in range(reach + 1):
+            i, j = np.minimum(i0 + di, n - 1), np.minimum(j0 + dj, n - 1)
+            p = origin + h * (i + 1j * j) - corners[0]
+            # barycentric weights of the second and third vertex
+            lb = np.imag(np.conj(p) * e2) / area2
+            lc = np.imag(np.conj(e1) * p) / area2
+            hit = (lb >= -1e-12) & (lc >= -1e-12) & (lb + lc <= 1.0 + 1e-12)
+            grid[i[hit], j[hit]] = (values[0] + lb * dv1 + lc * dv2)[hit]
+    return ComplexGrid(n, n, (x0, y0), (h, h), grid)
+
+
+def sigma_field(mu_star: ComplexGrid, state: FlowState) -> ComplexGrid:
     """Velocity source term on the enclosing box lattice at flow time t.
 
     Per tracked site, s_j = mu*(z_j) / (1 - t^2 |mu*(z_j)|^2) times the
     phase factor dz_f / conj(dz_f); the values are carried to the image
-    points f_t(z_j) and interpolated linearly onto the box grid (zero
-    outside the convex hull of the images).
+    points f_t(z_j) and interpolated linearly onto the box grid on the two
+    triangles of each lattice cell (zero outside the image of the lattice).
+    Raises OrientationError once a triangle's orientation is not positive.
     """
     mu = mu_star.values.ravel()
     if mu.size != state.points.size:
@@ -124,20 +122,28 @@ def sigma_field(
     tm = np.abs(state.t * mu)
     if np.any(tm >= 1.0):
         raise FlowError(f"|t mu| reaches {tm.max():.6f} >= 1: distortion blow-up")
+    # cell (i, j) splits along p00-p11 into (p00, p10, p11) and (p00, p11, p01),
+    # both counter-clockwise on the untouched lattice
+    idx = np.arange(mu.size).reshape(mu_star.nx, mu_star.ny)
+    p00, p10, p01, p11 = idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]
+    tri = np.concatenate([[p00, p10, p11], [p00, p11, p01]], axis=1).reshape(3, -1)
+    corners = state.points[tri]
+    area2 = np.imag(np.conj(corners[1] - corners[0]) * (corners[2] - corners[0]))
+    if np.any(area2 <= 0):
+        raise OrientationError(
+            f"tracked lattice folds at t={state.t:.4f}: "
+            f"{int(np.sum(area2 <= 0))} triangles with non-positive orientation"
+        )
     source = mu / (1.0 - (state.t * np.abs(mu)) ** 2) * (state.dz_f / np.conj(state.dz_f))
-    n = box_n or _default_box_n(mu_star)
     box = _enclosing_box(state.points)
-    sigma, h, xs, ys = _scatter_to_box(state.points, source, box, n)
-    return ComplexGrid(n, n, (xs[0], ys[0]), (h, h), sigma)
+    return _scatter_to_box(corners, source[tri], area2, box, _default_box_n(mu_star))
 
 
 def _default_box_n(mu_star: ComplexGrid) -> int:
     return int(np.clip(2 * max(mu_star.nx, mu_star.ny) + 1, 65, 257))
 
 
-def flow_step(
-    state: FlowState, eps: float, mu_star: ComplexGrid, *, box_n: int | None = None
-) -> FlowState:
+def flow_step(state: FlowState, eps: float, mu_star: ComplexGrid) -> FlowState:
     """One Euler step of the reconstruction flow.
 
     Solves lap(Psi) = 2 Re sigma and lap(Phi) = 2 Im sigma with zero
@@ -149,7 +155,7 @@ def flow_step(
         raise ValueError("step size must be positive")
     if state.t + eps > 1.0 + 1e-9:
         raise ValueError(f"flow time {state.t} + {eps} would pass 1")
-    sig = sigma_field(mu_star, state, box_n=box_n)
+    sig = sigma_field(mu_star, state)
     h = sig.spacing[0]
     psi = poisson_solve_dirichlet(2.0 * sig.values.real, h)
     phi = poisson_solve_dirichlet(2.0 * sig.values.imag, h)
@@ -162,35 +168,24 @@ def flow_step(
         np.gradient(w, h, axis=0, edge_order=1)
         - 1j * np.gradient(w, h, axis=1, edge_order=1)
     )
-    xs = sig.x()
-    ys = sig.y()
-    w_at = RegularGridInterpolator(
-        (xs, ys), w, method="linear", bounds_error=False, fill_value=None
-    )
-    wz_at = RegularGridInterpolator(
-        (xs, ys), wz, method="linear", bounds_error=False, fill_value=None
-    )
-    coords = np.column_stack([state.points.real, state.points.imag])
-    new_points = state.points + eps * w_at(coords)
-    new_dzf = state.dz_f * (1.0 + eps * wz_at(coords))
+    new_points = state.points + eps * grid_sample(sig.with_values(w), state.points)
+    new_dzf = state.dz_f * (1.0 + eps * grid_sample(sig.with_values(wz), state.points))
     if not (np.all(np.isfinite(new_points)) and np.all(np.isfinite(new_dzf))):
         raise FlowError(f"non-finite flow state after step at t={state.t:.4f}")
-    return FlowState(
-        t=state.t + eps,
-        sites=state.sites,
-        points=new_points,
-        dz_f=new_dzf,
-    )
+    return FlowState(t=state.t + eps, points=new_points, dz_f=new_dzf)
 
 
 def reconstruct_map(
-    mu_star: ComplexGrid, steps: int = 20, *, box_n: int | None = None
+    mu_star: ComplexGrid, steps: int = 20, *, stats: dict | None = None
 ) -> tuple[ComplexGrid, Grid]:
     """Flow the identity to a map with dilatation mu_star; return (map, phi).
 
     The returned map samples the reconstruction on mu_star's lattice;
     phi = sqrt(det J) is measured from the final map by finite
-    differences, so map and scale come from a single source.
+    differences, so map and scale come from a single source.  A given
+    stats dict gets the flow's check against its own target over the
+    interior of the lattice: the smallest det J (min_det_j) and the
+    largest |mu(map) - mu_star| (max_mu_gap).
     """
     if steps < 1:
         raise ValueError("need at least one flow step")
@@ -202,10 +197,14 @@ def reconstruct_map(
     state = FlowState.identity(mu_star)
     eps = 1.0 / steps
     for _ in range(steps):
-        state = flow_step(state, eps, mu_star, box_n=box_n)
+        state = flow_step(state, eps, mu_star)
     values = state.points.reshape(mu_star.nx, mu_star.ny)
     f_check = ComplexGrid(
         mu_star.nx, mu_star.ny, mu_star.origin, mu_star.spacing, values
     )
-    _, phi = numeric_dilatation(f_check, interior_only=True)
+    mu_check, phi = numeric_dilatation(f_check, interior_only=True)
+    if stats is not None:
+        inner = np.s_[1:-1, 1:-1] if min(mu_star.nx, mu_star.ny) > 2 else np.s_[:, :]
+        stats["min_det_j"] = float(np.min(phi.values[inner] ** 2))
+        stats["max_mu_gap"] = float(np.max(np.abs(mu_check.values - mu_star.values)[inner]))
     return f_check, phi

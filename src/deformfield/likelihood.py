@@ -138,46 +138,38 @@ def _chol_or_none(sigma: np.ndarray):
     return None
 
 
-def _nll_from_sigma(sigma: np.ndarray, ytilde: np.ndarray) -> float:
-    factor = _chol_or_none(sigma)
-    if factor is None:
-        return np.inf
-    half_logdet = float(np.sum(np.log(np.diag(factor))))
-    w = solve_triangular(factor, ytilde, lower=True)
-    return half_logdet + 0.5 * float(np.sum(w * w))
+def _shared_blocks(data: SampleField, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Within-block coordinates shared by all blocks, and their values, one block per row.
 
-
-def neg_loglik_alpha(
-    alpha: float, block: np.ndarray, data: SampleField, L: ContrastMatrix
-) -> float:
-    """Negative restricted log likelihood of one neighborhood at index alpha.
-
-    0.5 log|Sigma| + 0.5 Ytilde' Sigma^-1 Ytilde  with
-    Sigma = L G_alpha(|z_p - z_q|) L'.  Returns +inf (with a warning)
-    when Sigma cannot be factorized even with jitter.
+    Raises ValueError unless every block is a translate of the first.
     """
-    idx = np.asarray(block).ravel()
-    z = data.locations[idx]
-    ytilde = L.rows @ data.values[idx]
-    dist = np.abs(z[:, None] - z[None, :])
-    sigma = L.rows @ g_alpha(alpha, dist) @ L.rows.T
-    sigma = 0.5 * (sigma + sigma.T)
-    value = _nll_from_sigma(sigma, ytilde)
-    if not np.isfinite(value):
-        log.warning("likelihood at alpha=%.4f not factorizable; treating as +inf", alpha)
-    return value
-
-
-def _relative_coords(data: SampleField, blocks) -> np.ndarray | None:
-    """Shared within-block coordinates if every block is a translate of the first."""
     first = data.locations[np.asarray(blocks[0]).ravel()]
     rel = first - first.mean()
     scale = max(np.max(np.abs(rel)), 1.0)
     for block in blocks[1:]:
         z = data.locations[np.asarray(block).ravel()]
         if z.size != rel.size or np.max(np.abs((z - z.mean()) - rel)) > 1e-9 * scale:
-            return None
-    return rel
+            raise ValueError("the partition's blocks must be translates of one another")
+    return rel, np.stack([data.values[np.asarray(b).ravel()] for b in blocks])
+
+
+def _alpha_nll(alpha: float, dist: np.ndarray, rows: np.ndarray, ytilde: np.ndarray) -> float:
+    """Summed negative restricted log likelihood at index alpha of blocks sharing one geometry.
+
+    0.5 log|Sigma| + 0.5 Ytilde' Sigma^-1 Ytilde summed over the columns of
+    ytilde (one block each), with Sigma = L G_alpha(dist) L' for contrast
+    rows L and the pairwise distances dist of the shared sites.  Returns
+    +inf when Sigma cannot be factorized even with jitter.
+    """
+    sigma = rows @ g_alpha(alpha, dist) @ rows.T
+    sigma = 0.5 * (sigma + sigma.T)
+    factor = _chol_or_none(sigma)
+    if factor is None:
+        return np.inf
+    w = solve_triangular(factor, ytilde, lower=True)
+    return ytilde.shape[1] * float(np.sum(np.log(np.diag(factor)))) + 0.5 * float(
+        np.sum(w * w)
+    )
 
 
 def estimate_alpha(
@@ -193,45 +185,22 @@ def estimate_alpha(
 
     The search interval is (ALPHA_FLOOR, alpha_max]; the contrast degree
     defaults to floor(alpha_max / 2) so one contrast matrix serves every
-    candidate alpha.  When all blocks share translated geometry, the
-    kernel matrix and its factorization are computed once per candidate.
-    A given stats dict gets the number of candidates scored (alpha_evals).
+    candidate alpha.  The blocks must be translates of one another, as
+    partition_grid makes them, so the kernel matrix and its factorization
+    are computed once per candidate.  A given stats dict gets the number
+    of candidates scored (alpha_evals).
     """
     if alpha_max <= ALPHA_FLOOR:
         raise ValueError("alpha_max must exceed the search floor 0.05")
     if degree is None:
         degree = int(np.floor(alpha_max / 2.0))
-    rel = _relative_coords(data, partition.blocks)
-    if rel is not None:
-        L = increment_matrix(rel, degree)
-        dist = np.abs(rel[:, None] - rel[None, :])
-        ystack = np.column_stack(
-            [L.rows @ data.values[np.asarray(b).ravel()] for b in partition.blocks]
-        )
-        n_blocks = partition.n_blocks
+    rel, values = _shared_blocks(data, partition.blocks)
+    rows = increment_matrix(rel, degree).rows
+    dist = np.abs(rel[:, None] - rel[None, :])
+    ystack = np.column_stack([rows @ v for v in values])
 
-        def total(alpha: float) -> float:
-            sigma = L.rows @ g_alpha(alpha, dist) @ L.rows.T
-            sigma = 0.5 * (sigma + sigma.T)
-            factor = _chol_or_none(sigma)
-            if factor is None:
-                return np.inf
-            w = solve_triangular(factor, ystack, lower=True)
-            return n_blocks * float(np.sum(np.log(np.diag(factor)))) + 0.5 * float(
-                np.sum(w * w)
-            )
-
-    else:
-        mats = [
-            increment_matrix(data.locations[np.asarray(b).ravel()], degree)
-            for b in partition.blocks
-        ]
-
-        def total(alpha: float) -> float:
-            return sum(
-                neg_loglik_alpha(alpha, b, data, L)
-                for b, L in zip(partition.blocks, mats)
-            )
+    def total(alpha: float) -> float:
+        return _alpha_nll(alpha, dist, rows, ystack)
 
     lo, hi = ALPHA_FLOOR, float(alpha_max)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -709,10 +678,7 @@ def estimate_field(
     """
     if degree is None:
         degree = int(np.floor(alpha_max / 2.0))
-    rel = _relative_coords(data, partition.blocks)
-    if rel is None:
-        raise ValueError("estimate_field needs blocks that are translates of one another")
-    values = np.stack([data.values[np.asarray(b).ravel()] for b in partition.blocks])
+    rel, values = _shared_blocks(data, partition.blocks)
     mu, phi, loglik, reason = _fit_blocks(
         rel, increment_matrix(rel, degree).rows, values, alpha_hat, phi_bounds, stats
     )

@@ -19,6 +19,7 @@ from .conformal import compose_estimate, distance_d1, distance_d2
 from .diskgeom import interpolate_dilatation, smooth_dilatation
 from .errors import ConfigError
 from .fields import (
+    MAX_EXACT_SIM,
     SampleField,
     add_noise,
     apply_deformation,
@@ -40,8 +41,6 @@ from .likelihood import estimate_field, partition_grid
 from .svgplots import ellipse_field_svg, scatter_svg, warped_grid_svg
 
 log = logging.getLogger(__name__)
-
-MAX_EXACT_SIM = 20000
 
 
 def _write_meta(path: str, stage: str, cfg: PipelineConfig, extra: dict | None = None) -> None:
@@ -174,7 +173,7 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
     mu_star = mu_star.with_values(mu_vals.reshape(m, m))
     write_grd(mu_star, os.path.join(out_dir, "mustar.grd"))
 
-    f_check, phi_check = reconstruct_map(mu_star, steps=cfg.flow_steps)
+    f_check, phi_check = reconstruct_map(mu_star, steps=cfg.flow_steps, stats=stats)
     f_hat = compose_estimate(f_check, phi_check, smoothed, n_max=cfg.harmonic_n)
     write_grd(f_check, os.path.join(out_dir, "fcheck.grd"))
     write_grd(phi_check, os.path.join(out_dir, "phicheck.grd"))
@@ -202,6 +201,11 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
                 "karcher_not_converged": stats.get("karcher_not_converged", 0),
                 "points_extrapolated": int(np.sum(nearest)),
                 "mu_star_clipped": int(np.sum(wild)),
+            },
+            # the flow against its own target, over the lattice interior
+            "flow_check": {
+                "min_det_j": stats["min_det_j"],
+                "max_mu_gap": stats["max_mu_gap"],
             },
         },
     )

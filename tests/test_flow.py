@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deformfield.errors import FlowError
+from deformfield.errors import FlowError, OrientationError
 from deformfield.fields import numeric_dilatation
 from deformfield.flow import (
     FlowState,
@@ -87,7 +87,7 @@ def test_identity_state_matches_lattice():
     mu = _const_mu(9, 0.2)
     state = FlowState.identity(mu)
     assert state.t == 0.0
-    assert np.array_equal(state.points, state.sites)
+    assert np.array_equal(state.points, mu.locations())
     assert np.array_equal(state.dz_f, np.ones(81, dtype=np.complex128))
 
 
@@ -102,12 +102,54 @@ def test_sigma_field_at_time_zero_equals_mu():
     # exactly inside the site hull and vanish outside it
     c = 0.25 - 0.15j
     mu = _const_mu(9, c)
-    sig = sigma_field(mu, FlowState.identity(mu), box_n=65)
+    sig = sigma_field(mu, FlowState.identity(mu))
     xx, yy = np.meshgrid(sig.x(), sig.y(), indexing="ij")
     inside = (xx >= 0) & (xx <= 1) & (yy >= 0) & (yy <= 1)
     assert np.max(np.abs(sig.values[inside] - c)) < 1e-12
     far = (xx < -0.05) | (xx > 1.05) | (yy < -0.05) | (yy > 1.05)
     assert np.max(np.abs(sig.values[far])) == 0.0
+
+
+def _bent_state(n, t, source):
+    # lattice bent into a quarter annulus 1 <= r <= 2, 0 <= theta <= pi/2:
+    # its image is not convex, and the concave part of its hull is a
+    # region no triangle covers.  dz_f is set so the phase factor is 1
+    # and the source term equals `source` at t = 0.
+    mu = _const_mu(n, 0.0)
+    s = np.linspace(0.0, 1.0, n)
+    r = 1.0 + s[:, None]
+    theta = 0.5 * np.pi * s[None, :]
+    points = (r * np.exp(1j * theta)).ravel()
+    state = FlowState(t=t, points=points, dz_f=np.ones(n * n, dtype=np.complex128))
+    return mu.with_values(source(points).reshape(n, n)), state
+
+
+def test_sigma_field_reproduces_linear_source_on_bent_lattice():
+    def linear(z):
+        return (0.3 - 0.2j) + (0.05 + 0.1j) * z.real - 0.07j * z.imag
+
+    mu, state = _bent_state(21, 0.0, linear)
+    sig = sigma_field(mu, state)
+    nodes = sig.locations().reshape(sig.values.shape)
+    r, theta = np.abs(nodes), np.angle(nodes)
+    # polygon of the lattice image: chords between outer-ring sites lie
+    # inside the disk of radius 2, so a margin keeps clear of them
+    inside = (r > 1.02) & (r < 1.98) & (theta > 0.02) & (theta < 0.5 * np.pi - 0.02)
+    assert inside.sum() > 100
+    assert np.max(np.abs(sig.values[inside] - linear(nodes[inside]))) < 1e-12
+    # inside the convex hull, whose inner edge is the chord x + y = 1 from
+    # 1 to i, but inside the inner circle of radius 1: no triangle covers it
+    concave = (r < 0.98) & (nodes.real + nodes.imag > 1.0 + 1e-9)
+    concave &= (nodes.real > 0) & (nodes.imag > 0)
+    assert concave.sum() > 20
+    assert np.all(sig.values[concave] == 0.0)
+
+
+def test_sigma_field_rejects_folded_lattice():
+    mu, state = _bent_state(9, 0.35, lambda z: 0.1 + 0.0 * z)
+    state.points[40] += 0.5  # push one interior site across its neighbours
+    with pytest.raises(OrientationError, match="t=0.3500"):
+        sigma_field(mu, state)
 
 
 def test_sigma_field_rejects_blowup():
@@ -171,7 +213,26 @@ def test_reconstruct_rejects_extreme_mu():
 
 def test_reconstruct_deterministic():
     mu = _const_mu(17, 0.2 + 0.1j, spacing=1.0 / 16)
-    a, pa = reconstruct_map(mu, steps=5)
-    b, pb = reconstruct_map(mu, steps=5)
+    stats_a, stats_b = {}, {}
+    a, pa = reconstruct_map(mu, steps=5, stats=stats_a)
+    b, pb = reconstruct_map(mu, steps=5, stats=stats_b)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(pa.values, pb.values)
+    assert stats_a == stats_b
+
+
+def test_reconstruct_self_check_reacts_to_planted_spike():
+    n = 17
+    mu = _const_mu(n, 0.2 + 0.1j, spacing=1.0 / 16)
+    smooth = {}
+    _, phi = reconstruct_map(mu, steps=5, stats=smooth)
+    assert set(smooth) == {"min_det_j", "max_mu_gap"}
+    assert smooth["min_det_j"] == pytest.approx(np.min(phi.values[1:-1, 1:-1] ** 2))
+    assert 0.0 < smooth["max_mu_gap"] < 0.05
+    # one site's target the flow cannot follow: the gap at that site grows
+    spiked_vals = mu.values.copy()
+    spiked_vals[8, 8] = -0.5
+    spiked = {}
+    reconstruct_map(mu.with_values(spiked_vals), steps=5, stats=spiked)
+    assert spiked["max_mu_gap"] > 0.3
+    assert spiked["max_mu_gap"] > 5 * smooth["max_mu_gap"]

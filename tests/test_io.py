@@ -267,6 +267,9 @@ def test_reconstruct_meta_counts(tmp_path, monkeypatch):
         "mu_star_clipped": 0,
         "points_extrapolated": 16 * 16 - int(inside.sum()) ** 2,
     }
+    check = json.loads(blob)["flow_check"]
+    assert set(check) == {"min_det_j", "max_mu_gap"}
+    assert check["min_det_j"] > 0.0 and 0.0 < check["max_mu_gap"] < 0.2
 
     # plant faults: block 0 goes missing and is imputed from its 2 x 2
     # window; blocks 4, 5, 7 and 8 hold each other's whole windows, so they

@@ -19,19 +19,19 @@ from deformfield.increments import increment_matrix
 from deformfield.likelihood import (
     MU_CAP,
     AnisotropyParams,
+    _alpha_nll,
     _chol_or_none,
     _lag_table,
     _mu_from_x,
     _nelder_mead_lockstep,
     _profiled_nll,
-    _relative_coords,
+    _shared_blocks,
     _start_points,
     DilatationScaleField,
     aniso_g,
     estimate_alpha,
     estimate_field,
     estimate_theta,
-    neg_loglik_alpha,
     partition_grid,
 )
 
@@ -132,20 +132,21 @@ def test_mu_from_search_coordinates_stays_under_cap():
 
 
 def test_neg_loglik_alpha_matches_direct_computation():
+    # the summed objective of two blocks equals the one-block formula, twice
     rng = np.random.default_rng(3)
     z = _lattice_sites(5, 0.1)
-    vals = rng.standard_normal(z.size)
-    data = SampleField(z, vals)
+    vals = rng.standard_normal((z.size, 2))
     L = increment_matrix(z, 1)
-    from deformfield.fields import g_alpha
+    dist = np.abs(z[:, None] - z[None, :])
 
-    sigma = L.rows @ g_alpha(0.9, np.abs(z[:, None] - z[None, :])) @ L.rows.T
+    sigma = L.rows @ g_alpha(0.9, dist) @ L.rows.T
     sigma = 0.5 * (sigma + sigma.T)
-    yt = L.rows @ vals
     chol = cholesky(sigma, lower=True)
-    w = np.linalg.solve(chol, yt)
-    want = float(np.sum(np.log(np.diag(chol))) + 0.5 * w @ w)
-    got = neg_loglik_alpha(0.9, np.arange(z.size), data, L)
+    want = 0.0
+    for k in range(2):
+        w = np.linalg.solve(chol, L.rows @ vals[:, k])
+        want += float(np.sum(np.log(np.diag(chol))) + 0.5 * w @ w)
+    got = _alpha_nll(0.9, dist, L.rows, L.rows @ vals)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -163,20 +164,6 @@ def test_estimate_alpha_on_smooth_field():
     part = partition_grid(60, 60, 10, spacing=(0.01, 0.01))
     a_hat = estimate_alpha(data, part)
     assert 2.7 <= a_hat <= 3.3
-
-
-def test_estimate_alpha_shared_geometry_matches_general_path():
-    # jitter one site so the translated-geometry fast path is rejected,
-    # then compare against the same data on the fast path
-    model = CovarianceModel.powered_exponential(1.0, 1.0, 0.9)
-    data = _simulated_field(20, model, seed=2)
-    part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
-    fast = estimate_alpha(data, part)
-
-    wobbled = SampleField(data.locations.copy(), data.values.copy())
-    wobbled.locations[0] += 1e-5 + 1e-5j
-    slow = estimate_alpha(wobbled, part)
-    assert fast == pytest.approx(slow, abs=5e-3)
 
 
 def test_estimate_alpha_rejects_bad_bound():
@@ -331,9 +318,9 @@ def _block_contrasts():
     model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     data = _simulated_field(20, model, seed=7, tile=20)
     part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
-    rel = _relative_coords(data, part.blocks)
+    rel, values = _shared_blocks(data, part.blocks)
     rows = increment_matrix(rel, 2).rows
-    ytilde = np.stack([rows @ data.values[b] for b in part.blocks])
+    ytilde = np.stack([rows @ v for v in values])
     return rel, rows, ytilde
 
 
@@ -407,7 +394,7 @@ def test_estimate_field_matches_scipy_multistart_oracle():
     part = partition_grid(30, 30, 10, spacing=(0.01, 0.01))
     data.values[part.blocks[4]] = 0.25  # a constant block has no contrast signal
     field = estimate_field(data, part, 0.7)
-    rel = _relative_coords(data, part.blocks)
+    rel, _ = _shared_blocks(data, part.blocks)
     rows = increment_matrix(rel, 2).rows
     for k, block in enumerate(part.blocks):
         mu, status = _oracle_fit(rel, rows, data.values[block], 0.7)
@@ -417,10 +404,19 @@ def test_estimate_field_matches_scipy_multistart_oracle():
     assert field.status.tolist().count("missing") == 1
 
 
-def test_estimate_field_rejects_blocks_that_are_not_translates():
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda data, part: estimate_alpha(data, part),
+        lambda data, part: estimate_field(data, part, 0.9),
+    ],
+    ids=["estimate_alpha", "estimate_field"],
+)
+def test_estimate_field_rejects_blocks_that_are_not_translates(estimate):
+    # one site moved by 1e-5: the blocks no longer share their geometry
     model = CovarianceModel.powered_exponential(1.0, 1.0, 0.9)
     data = _simulated_field(20, model, seed=2)
     part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
     data.locations[0] += 1e-5 + 1e-5j
     with pytest.raises(ValueError, match="translates"):
-        estimate_field(data, part, 0.9)
+        estimate(data, part)
