@@ -1,7 +1,7 @@
 """Command line front end.
 
     deformfield simulate    --config run.cfg [--out DIR] [--seed N]
-    deformfield estimate    --config run.cfg [--threads N] [--force]
+    deformfield estimate    --config run.cfg [--force]
     deformfield reconstruct --config run.cfg [--force]
     deformfield evaluate    --config run.cfg [--force]
     deformfield pipeline    --config run.cfg  (all four stages)
@@ -45,12 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="run directory (overrides out_dir in the config)")
         cmd.add_argument("--seed", type=int, help="override the configured seed")
         cmd.add_argument(
-            "--threads",
-            type=int,
-            help="accepted and validated for older scripts; estimation "
-            "runs in one batched thread and results do not depend on it",
-        )
-        cmd.add_argument(
             "--force",
             action="store_true",
             help="run even if upstream artifacts carry a different config hash",
@@ -72,15 +66,6 @@ def _load_config(args: argparse.Namespace) -> tuple[PipelineConfig, str]:
     cfg = read_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    elif os.environ.get("DEFORMFIELD_THREADS"):
-        try:
-            cfg.threads = int(os.environ["DEFORMFIELD_THREADS"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"DEFORMFIELD_THREADS={os.environ['DEFORMFIELD_THREADS']!r} is not an integer"
-            ) from exc
     cfg.validate()
     out_dir = args.out or cfg.out_dir
     return cfg, out_dir

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .fields import (
     MATERN,
+    MAX_EXACT_SIM,
     POLY_FRACTIONAL,
     POWERED_EXPONENTIAL,
     CovarianceModel,
     DeformationSpec,
+    simulation_blocks,
 )
 from .grids import atomic_write_text
 from .likelihood import ALPHA_FLOOR
@@ -103,6 +105,23 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be {span}, got {value}")
         if not self.alpha_max > ALPHA_FLOOR:
             raise ConfigError(f"alpha_max must exceed {ALPHA_FLOOR}, got {self.alpha_max}")
+        tiles = self.sim_tiles()
+        largest = self.grid_nx * self.grid_ny if tiles is None else max(t.size for t in tiles)
+        if largest > MAX_EXACT_SIM:
+            raise ConfigError(
+                f"sim_block = {self.sim_block} needs an exact draw of {largest} sites, above "
+                f"the cap {MAX_EXACT_SIM}; use a positive sim_block whose tiles fit the cap"
+            )
+
+    def sim_tiles(self) -> list | None:
+        """Lattice tiles drawn independently by simulate, or None for one exact draw.
+
+        sim_block = 0 forces the exact draw; anything else tiles as soon as
+        the lattice is bigger than a single tile, keeping the factors small.
+        """
+        if self.sim_block > 0 and max(self.grid_nx, self.grid_ny) > self.sim_block:
+            return simulation_blocks(self.grid_nx, self.grid_ny, self.sim_block)
+        return None
 
     def build_model(self) -> CovarianceModel:
         if self.family == POWERED_EXPONENTIAL:

@@ -240,7 +240,6 @@ def interpolate_dilatation(
     field: DilatationScaleField,
     locations,
     *,
-    return_flag: bool = False,
     stats: dict | None = None,
 ):
     """Dilatation at arbitrary points by bilinear-weighted Frechet means.
@@ -248,8 +247,9 @@ def interpolate_dilatation(
     The four block centers around each location contribute with bilinear
     weights, skipping unavailable corners, in one frechet_mean call (with
     stats).  A location outside the center lattice, or with no available
-    corner, takes the value of the nearest available block, and
-    return_flag marks it.  Scalar or array locations give values alike.
+    corner, takes the value of the nearest available block; a given stats
+    dict counts these (points_extrapolated).  Scalar or array locations
+    give values alike.
     """
     loc = np.asarray(locations, dtype=np.complex128)
     flat = loc.ravel()
@@ -283,7 +283,6 @@ def interpolate_dilatation(
     if pick.size:
         dist = np.abs(flat[pick, None] - field.centers[avail])
         values[pick] = field.mu[avail[np.argmin(dist, axis=1)]]
-    if loc.ndim == 0:
-        return (complex(values[0]), bool(nearest[0])) if return_flag else complex(values[0])
-    values, nearest = values.reshape(loc.shape), nearest.reshape(loc.shape)
-    return (values, nearest) if return_flag else values
+    if stats is not None:
+        stats["points_extrapolated"] = stats.get("points_extrapolated", 0) + int(pick.size)
+    return complex(values[0]) if loc.ndim == 0 else values.reshape(loc.shape)

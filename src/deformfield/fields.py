@@ -221,11 +221,11 @@ class SampleField:
         return self.locations.size
 
 
-def cholesky_with_jitter(mat: np.ndarray, scale: float) -> np.ndarray:
-    """Lower Cholesky factor, retrying up the shared jitter ladder.
+def _cholesky_or_none(mat: np.ndarray, scale: float) -> np.ndarray | None:
+    """Lower Cholesky factor up the jitter ladder, or None if every step fails.
 
-    scale sets the absolute size of the jitter steps (typically the
-    variance or the mean diagonal of mat).
+    scale sets the absolute size of the jitter steps (the variance, or the
+    mean diagonal of mat).
     """
     for jitter in JITTER_LADDER:
         try:
@@ -234,6 +234,18 @@ def cholesky_with_jitter(mat: np.ndarray, scale: float) -> np.ndarray:
             return np.linalg.cholesky(mat + jitter * scale * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
             continue
+    return None
+
+
+def cholesky_with_jitter(mat: np.ndarray, scale: float) -> np.ndarray:
+    """Lower Cholesky factor, retrying up the shared jitter ladder.
+
+    scale sets the absolute size of the jitter steps (typically the
+    variance or the mean diagonal of mat).
+    """
+    factor = _cholesky_or_none(mat, scale)
+    if factor is not None:
+        return factor
     eigs = np.linalg.eigvalsh(mat)
     raise SimulationError(
         f"covariance factorization failed for a {mat.shape[0]}x{mat.shape[0]} matrix "

@@ -90,17 +90,6 @@ class ComplexGrid(Grid):
     _dtype = np.complex128
 
 
-def _same_lattice(a: Grid, b: Grid, tol: float = 1e-9) -> bool:
-    return (
-        a.nx == b.nx
-        and a.ny == b.ny
-        and abs(a.origin[0] - b.origin[0]) <= tol
-        and abs(a.origin[1] - b.origin[1]) <= tol
-        and abs(a.spacing[0] - b.spacing[0]) <= tol
-        and abs(a.spacing[1] - b.spacing[1]) <= tol
-    )
-
-
 def grid_sample(grid: Grid, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a grid at complex points.
 

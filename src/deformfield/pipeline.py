@@ -19,13 +19,11 @@ from .conformal import compose_estimate, distance_d1, distance_d2
 from .diskgeom import interpolate_dilatation, smooth_dilatation
 from .errors import ConfigError
 from .fields import (
-    MAX_EXACT_SIM,
     SampleField,
     add_noise,
     apply_deformation,
     numeric_dilatation,
     simulate_isotropic,
-    simulation_blocks,
 )
 from .flow import MU_STAR_CAP, reconstruct_map
 from .grids import (
@@ -77,17 +75,9 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
         nx, ny, (cfg.origin_x, cfg.origin_y), (cfg.spacing_x, cfg.spacing_y),
         np.zeros((nx, ny)),
     )
-    # sim_block = 0 forces one exact draw; anything else tiles as soon as the
-    # lattice is bigger than a single tile, keeping the Cholesky factor small.
-    blocks = None
-    if cfg.sim_block > 0 and max(nx, ny) > cfg.sim_block:
-        blocks = simulation_blocks(nx, ny, cfg.sim_block)
+    blocks = cfg.sim_tiles()
+    if blocks is not None:
         log.info("simulating %d independent tiles of side %d", len(blocks), cfg.sim_block)
-    elif nx * ny > MAX_EXACT_SIM:
-        raise ConfigError(
-            f"exact simulation of {nx * ny} sites would need a dense Cholesky; "
-            "set sim_block to a positive tile size"
-        )
     sites = lattice.locations()
     latent = apply_deformation(deform, sites)
     sample = simulate_isotropic(model, latent, cfg.seed, blocks=blocks)
@@ -160,9 +150,7 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
     x0, x1, y0, y1 = cfg.domain()
     spacing = ((x1 - x0) / (m - 1), (y1 - y0) / (m - 1))
     mu_star = ComplexGrid(m, m, (x0, y0), spacing, np.zeros((m, m), dtype=np.complex128))
-    mu_vals, nearest = interpolate_dilatation(
-        smoothed, mu_star.locations(), return_flag=True, stats=stats
-    )
+    mu_vals = interpolate_dilatation(smoothed, mu_star.locations(), stats=stats)
     wild = np.abs(mu_vals) > MU_STAR_CAP
     if np.any(wild):
         log.warning(
@@ -199,7 +187,7 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
                 "blocks_missing": int(np.sum(smoothed.status == STATUS_MISSING)),
                 "karcher_sets": stats.get("karcher_sets", 0),
                 "karcher_not_converged": stats.get("karcher_not_converged", 0),
-                "points_extrapolated": int(np.sum(nearest)),
+                "points_extrapolated": stats["points_extrapolated"],
                 "mu_star_clipped": int(np.sum(wild)),
             },
             # the flow against its own target, over the lattice interior

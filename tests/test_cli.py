@@ -82,6 +82,24 @@ def test_out_of_range_setting_exits_two(tmp_path, capsys, field, value):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "side, sim_block, sites",
+    [(150, 0, 22500), (300, 200, 90000)],  # one exact draw; one 300x300 tile
+    ids=["exact-draw", "oversized-tile"],
+)
+def test_oversized_simulation_exits_two(tmp_path, capsys, side, sim_block, sites):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(
+        path, out_dir=str(out), grid_nx=side, grid_ny=side, spacing_x=0.003,
+        spacing_y=0.003, sim_block=sim_block,
+    )
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sim_block = {sim_block} needs an exact draw of {sites} sites")
+    assert err.count("\n") == 1 and not os.path.exists(out)
+
+
 def test_estimate_before_simulate_exits_two(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     _mini_cfg_file(path, out_dir=str(tmp_path / "out"))
@@ -100,14 +118,6 @@ def test_truncated_field_exits_four(tmp_path, capsys):
     assert main(["estimate", "--config", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: ") and "field.grd" in err and err.count("\n") == 1
-
-
-def test_bad_threads_env_exits_two(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "run.cfg"
-    _mini_cfg_file(path, out_dir=str(tmp_path / "out"))
-    monkeypatch.setenv("DEFORMFIELD_THREADS", "many")
-    assert main(["simulate", "--config", str(path)]) == 2
-    assert "DEFORMFIELD_THREADS" in capsys.readouterr().err
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -135,15 +145,6 @@ def test_seed_override_changes_field(tmp_path, capsys):
     with open(os.path.join(out_b, "field.grd"), "rb") as fh:
         blob_b = fh.read()
     assert blob_a != blob_b
-
-
-def test_threads_flag_accepted(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    out = str(tmp_path / "out")
-    _mini_cfg_file(path)
-    assert main(["simulate", "--config", str(path), "--out", out]) == 0
-    assert main(["estimate", "--config", str(path), "--out", out, "--threads", "2"]) == 0
-    assert "alpha = " in capsys.readouterr().out
 
 
 def test_console_script_runs():

@@ -380,9 +380,10 @@ def test_interpolate_exact_at_centers():
     mu = _random_disk_points(rng, 16, rmax=0.7)
     field = _make_field(4, 4, mu)
     for k in (0, 5, 15):
-        val, flag = interpolate_dilatation(field, complex(field.centers[k]), return_flag=True)
+        stats = {}
+        val = interpolate_dilatation(field, complex(field.centers[k]), stats=stats)
         assert abs(val - mu[k]) < 1e-12
-        assert flag is False
+        assert stats["points_extrapolated"] == 0
 
 
 def test_interpolate_midpoint_of_equal_neighbors():
@@ -407,8 +408,9 @@ def test_interpolate_outside_hull_uses_nearest():
     mu = _random_disk_points(rng, 16, rmax=0.7)
     field = _make_field(4, 4, mu)
     far = field.centers[0] - (1.0 + 1.0j)
-    val, flag = interpolate_dilatation(field, complex(far), return_flag=True)
-    assert flag is True
+    stats = {}
+    val = interpolate_dilatation(field, complex(far), stats=stats)
+    assert stats["points_extrapolated"] == 1
     assert abs(val - mu[0]) < 1e-12
 
 
@@ -439,12 +441,14 @@ def test_interpolate_array_matches_pointwise_loop():
         [(xs[:, None] + 1j * ys[None, :]).ravel(), c, [0.25 * (c[5] + c[6] + c[9] + c[10])]]
     )
     stats = {}
-    values, flags = interpolate_dilatation(field, locs, return_flag=True, stats=stats)
-    loop = [interpolate_dilatation(field, complex(z), return_flag=True) for z in locs]
-    assert np.max(np.abs(values - np.array([v for v, _ in loop]))) < 1e-14
-    assert flags.tolist() == [f for _, f in loop]
-    assert flags[-1] and not flags[-2]  # no-corner point takes the nearest value
-    assert stats["karcher_sets"] == int(np.sum(~flags))
+    values = interpolate_dilatation(field, locs, stats=stats)
+    point_stats = [{} for _ in locs]
+    loop = [interpolate_dilatation(field, complex(z), stats=s) for z, s in zip(locs, point_stats)]
+    assert np.max(np.abs(values - np.array(loop))) < 1e-14
+    nearest = np.array([s["points_extrapolated"] for s in point_stats])
+    assert stats["points_extrapolated"] == int(nearest.sum())
+    assert nearest[-1] == 1 and nearest[-2] == 0  # no-corner point takes the nearest value
+    assert stats["karcher_sets"] == int(np.sum(nearest == 0))
     grid = interpolate_dilatation(field, locs[: xs.size * ys.size].reshape(xs.size, ys.size))
     assert grid.shape == (xs.size, ys.size)
     assert np.array_equal(grid.ravel(), values[: xs.size * ys.size])

@@ -17,6 +17,7 @@ from deformfield.config import (
 from deformfield import pipeline
 from deformfield.errors import ConfigError
 from deformfield.grids import read_grd, write_grd
+from deformfield.likelihood import _STARTS
 from deformfield.pipeline import (
     run_pipeline,
     stage_estimate,
@@ -219,9 +220,11 @@ def test_estimate_meta_counts_repeat(tmp_path):
         "blocks_ok", "blocks_missing", "nll_evals", "searches_at_maxfev", "alpha_evals"
     }
     assert counts["blocks_ok"] == 9 and counts["blocks_missing"] == 0
-    # 5 searches per block; each starts with a 3-vertex simplex and stops at 400
-    assert 9 * 5 * 3 < counts["nll_evals"] <= 9 * 5 * 400
-    assert 0 <= counts["searches_at_maxfev"] <= 9 * 5
+    # one search per start and block; each starts with a 3-vertex simplex
+    # and stops at 400
+    n = 9 * len(_STARTS)
+    assert n * 3 < counts["nll_evals"] <= n * 400
+    assert 0 <= counts["searches_at_maxfev"] <= n
     assert counts["alpha_evals"] >= 2
 
 

@@ -8,6 +8,7 @@ from scipy.linalg import cholesky, solve_triangular
 from deformfield.errors import EstimationError
 from deformfield.fields import (
     CovarianceModel,
+    _cholesky_or_none,
     DeformationSpec,
     SampleField,
     apply_deformation,
@@ -19,14 +20,13 @@ from deformfield.increments import increment_matrix
 from deformfield.likelihood import (
     MU_CAP,
     AnisotropyParams,
+    _STARTS,
     _alpha_nll,
-    _chol_or_none,
     _lag_table,
     _mu_from_x,
     _nelder_mead_lockstep,
     _profiled_nll,
     _shared_blocks,
-    _start_points,
     DilatationScaleField,
     aniso_g,
     estimate_alpha,
@@ -314,6 +314,15 @@ def test_lockstep_nelder_mead_matches_scipy():
     assert nfev[0] == 5 and fval[0] == np.inf
 
 
+def test_every_start_spans_a_two_dimensional_simplex():
+    # scipy's first simplex steps a nonzero coordinate by 5% and a zero one
+    # by 0.00025; a 1e-17 residue where 0 is meant gives a flat simplex, and
+    # the search from that start never leaves its axis
+    for x0 in _STARTS:
+        edges = np.diag(np.where(x0 != 0, 0.05 * x0, 0.00025))
+        assert abs(np.linalg.det(edges)) >= 1e-9, x0
+
+
 def _block_contrasts():
     model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     data = _simulated_field(20, model, seed=7, tile=20)
@@ -360,7 +369,8 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
     for xi in x:
         mu = _mu_from_x(xi)
         sigma = rows @ g_alpha(4.5, np.abs(diff + mu * np.conj(diff))) @ rows.T
-        assert _chol_or_none(0.5 * (sigma + sigma.T)) is None
+        sigma = 0.5 * (sigma + sigma.T)
+        assert _cholesky_or_none(sigma, float(np.mean(np.diag(sigma)))) is None
 
 
 def _oracle_fit(rel, rows, values, alpha):
@@ -376,7 +386,7 @@ def _oracle_fit(rel, rows, values, alpha):
             return np.inf
 
     best = None
-    for x0 in _start_points():
+    for x0 in _STARTS:
         res = optimize.minimize(
             nll, x0, method="Nelder-Mead", options={"xatol": 1e-4, "fatol": 1e-6, "maxfev": 400}
         )
