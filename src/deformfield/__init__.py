@@ -65,7 +65,6 @@ from .likelihood import (
     aniso_g,
     estimate_alpha,
     estimate_field,
-    estimate_theta,
     partition_grid,
 )
 from .pipeline import (
@@ -115,7 +114,6 @@ __all__ = [
     "empirical_variogram",
     "estimate_alpha",
     "estimate_field",
-    "estimate_theta",
     "fit_log_scale",
     "flow_step",
     "frechet_mean",

@@ -99,7 +99,7 @@ def fit_log_scale(
         cols.append(-(r**n) * np.sin(n * theta))
     design = np.column_stack(cols)
     coef, _, rank, _ = np.linalg.lstsq(design, ell, rcond=None)
-    deficient = rank < design.shape[1]
+    deficient = bool(rank < design.shape[1])
     if deficient:
         log.warning("log-scale design is rank deficient (rank %d < %d)", rank, design.shape[1])
     a = coef[: n_max + 1]
@@ -177,14 +177,21 @@ def compose_estimate(
     phi_check: Grid,
     field: DilatationScaleField,
     n_max: int = 8,
+    *,
+    stats: dict | None = None,
 ) -> ComplexGrid:
     """Postcompose the reconstructed map with the fitted conformal factor.
 
     Returns the corrected map h(chart(f_check)) on f_check's lattice.
     The correction is analytic, so the dilatation field of the result
-    matches that of f_check; only local scales change.
+    matches that of f_check; only local scales change.  A given stats dict
+    gets the RMS residual of the log-scale fit (harmonic_residual) and
+    whether its design was rank deficient (harmonic_rank_deficient).
     """
     fit, transform, _, _ = scale_correction_fit(f_check, phi_check, field, n_max)
+    if stats is not None:
+        stats["harmonic_residual"] = fit.residual
+        stats["harmonic_rank_deficient"] = fit.rank_deficient
     w_all = transform.forward(f_check.values.ravel())
     corrected = integrate_hprime(fit, w_all).reshape(f_check.nx, f_check.ny)
     return ComplexGrid(

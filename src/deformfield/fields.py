@@ -254,9 +254,28 @@ def cholesky_with_jitter(mat: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
-def _simulate_dense(model, locations, rng) -> np.ndarray:
+def _covariance_matrix(model: CovarianceModel, locations: np.ndarray) -> np.ndarray:
+    """Dense covariance K(|z_i - z_j|) between complex locations.
+
+    The Matern-form families spend almost all their time in special.kv, so
+    they evaluate K once per distinct distance of the upper triangle and
+    mirror it; the entries are bit-identical to the elementwise matrix.
+    The exp kernel is cheaper than that sort and is evaluated directly.
+    """
     dist = np.abs(locations[:, None] - locations[None, :])
-    cov = covariance_eval(model, dist)
+    if model.family == POWERED_EXPONENTIAL:
+        return covariance_eval(model, dist)
+    upper = np.triu(np.ones(dist.shape, dtype=bool), 1)
+    distinct, inverse = np.unique(dist[upper], return_inverse=True)
+    cov = np.zeros_like(dist)
+    cov[upper] = covariance_eval(model, distinct)[inverse]
+    cov += cov.T
+    np.fill_diagonal(cov, model.variance)  # K(0)
+    return cov
+
+
+def _simulate_dense(model, locations, rng) -> np.ndarray:
+    cov = _covariance_matrix(model, locations)
     factor = cholesky_with_jitter(cov, model.variance)
     return factor @ rng.standard_normal(locations.size)
 

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from .errors import ArtifactError, EstimationError
 from .fields import SampleField, _cholesky_or_none, g_alpha
 from .grids import atomic_write_text
-from .increments import ContrastMatrix, increment_matrix
+from .increments import increment_matrix
 
 log = logging.getLogger(__name__)
 
@@ -222,23 +222,25 @@ def estimate_alpha(
 # alpha-homogeneous, G(s t) = s^alpha G(t), so for fixed mu the stretch enters
 # as a pure scale Sigma = s Sigma_1 with s = |A|^alpha, minimized in closed
 # form at s = Ytilde' Sigma_1^{-1} Ytilde / m.  The numerical search therefore
-# runs over mu alone, with the scale profiled out.
+# runs over mu alone, with the scale profiled out.  It starts at mu = 0, where
+# Sigma_1 is the isotropic generalized covariance, positive definite for the
+# contrast degree in use.
 
-# Nelder-Mead starts in search coordinates: mu = 0 and mu = 0.3.  Starts at
-# -0.3 and +-0.3i, tried over a thousand blocks of planted and simulated
-# fields, never moved an estimate by more than the search tolerances.
-_STARTS = np.array([[0.0, 0.0], [np.arctanh(0.3), 0.0]])
-_XATOL, _FATOL, _MAXFEV = 1e-4, 1e-6, 400
 _PHI_BOUNDS = (1e-3, 1e3)
+
+# Damped Newton search in the coordinates t = (t1, t2): the stencil step for
+# finite differences, the smallest move that continues a search, and the caps
+# on iterations and on step halvings per iteration.
+_STEP, _XTOL, _MAX_ITER, _MAX_HALVINGS = 1e-3, 1e-6, 50, 30
+
+# the 8-point central-difference stencil: +-e1, +-e2 and the four diagonals
+_STENCIL = np.array(
+    [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64
+)
 
 # Likelihood rows per batched evaluation.  Each row holds one m x m factor
 # (70 kB at block 10), so a call stays within a few MB.
 _EVAL_ROWS = 64
-
-# Nelder-Mead coefficients and initial-simplex steps, as in scipy's
-# non-adaptive method: reflection, expansion, contraction, shrink.
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 def _clip_to_cap(mu: complex) -> complex:
@@ -367,135 +369,63 @@ def _profiled_nll(
     return nll, s_hat
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray, idx: np.ndarray) -> None:
-    order = np.argsort(fsim[idx], axis=1)
-    fsim[idx] = np.take_along_axis(fsim[idx], order, axis=1)
-    sim[idx] = np.take_along_axis(sim[idx], order[:, :, None], axis=1)
+def _newton_lockstep(fun, x0: np.ndarray):
+    """Damped Newton descents from every row of x0 (searches x 2), in lockstep.
 
+    fun(search, points) returns the objective at points[i] for search
+    search[i].  Each iteration scores the stencil of step _STEP around every
+    active search in one call, and takes the gradient and the 2 x 2 Hessian
+    from it by central differences.  A Hessian that is not positive definite
+    is shifted by twice its lowest eigenvalue (plus a small floor), which
+    mirrors negative curvature.  The Newton step is then halved, one call per
+    round and at most _MAX_HALVINGS times, until the objective does not rise.
+    A search stops when its accepted move is below _XTOL, when no halving
+    helps, when its stencil is not finite, or after _MAX_ITER iterations; a
+    start where fun is +inf does not move.
 
-_START, _REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _DONE = range(7)
-
-
-def _nelder_mead_lockstep(fun, x0, *, xatol: float, fatol: float, maxfev: int):
-    """Nelder-Mead searches from every row of x0, advanced in lockstep.
-
-    Each search makes exactly the decisions of scipy.optimize.minimize with
-    method="Nelder-Mead", adaptive=False and no maxiter: the same initial
-    simplex, the same reflection, expansion, contraction and shrink rules,
-    argsort ordering after every step, and the same stop when maxfev runs
-    out inside a step, part way through a shrink included.  Every round
-    calls fun(search, points) once with the points that all active searches
-    need; it returns the objective at points[i] for search search[i].
-
-    Returns the best vertex, its value and the evaluation count per search.
+    Returns the final points and values, and the evaluations and iterations
+    of every search.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    n_search, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for k in range(n):
-        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + _NONZDELT) * x0[:, k], _ZDELT)
-    fsim = np.full((n_search, n + 1), np.inf)
-    first = min(n + 1, maxfev)
-    ids = np.repeat(np.arange(n_search), first)
-    fsim[:, :first] = fun(ids, sim[:, :first].reshape(-1, n)).reshape(n_search, first)
-    nfev = np.full(n_search, first)
-    everyone = np.arange(n_search)
-    # scipy orders the first simplex twice; with ties the second pass counts
-    _sort_simplices(sim, fsim, everyone)
-    _sort_simplices(sim, fsim, everyone)
-
-    phase = np.full(n_search, _START)
-    xbar = np.zeros((n_search, n))
-    x_r = np.zeros((n_search, n))
-    f_r = np.zeros(n_search)
-    trial = np.zeros((n_search, n))
-    n_shrink = np.zeros(n_search, dtype=int)
-
-    def accept(idx, x, f):
-        sim[idx, -1] = x
-        fsim[idx, -1] = f
-        _sort_simplices(sim, fsim, idx)
-        phase[idx] = _START
-
-    def stop_spent(idx):
-        # the budget ran out inside the step: sort, then stop
-        spent = nfev[idx] >= maxfev
-        _sort_simplices(sim, fsim, idx[spent])
-        phase[idx[spent]] = _DONE
-        return idx[~spent]
-
-    def shrink(idx):
-        # scipy moves vertex j before evaluating it, so the vertex at which
-        # the budget runs out has moved but keeps its old value
-        n_shrink[idx] = np.minimum(maxfev - nfev[idx], n)
-        moved = np.arange(1, n + 1) <= np.minimum(n_shrink[idx] + 1, n)[:, None]
-        best, rest = sim[idx, :1], sim[idx, 1:]
-        sim[idx, 1:] = np.where(moved[:, :, None], best + _SIGMA * (rest - best), rest)
-        phase[idx] = _SHRINK
-        stop_spent(idx[n_shrink[idx] == 0])
-
-    while True:
-        go = np.flatnonzero(phase == _START)
-        f, s = fsim[go], sim[go]
-        with np.errstate(invalid="ignore"):  # inf - inf is nan: not converged
-            done = (nfev[go] >= maxfev) | (
-                (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
-                & (np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol)
-            )
-        phase[go[done]] = _DONE
-        go = go[~done]
-        xbar[go] = np.add.reduce(sim[go, :-1], axis=1) / n
-        x_r[go] = (1 + _RHO) * xbar[go] - _RHO * sim[go, -1]
-        trial[go] = x_r[go]
-        phase[go] = _REFLECT
-
-        one = np.flatnonzero((phase != _DONE) & (phase != _SHRINK))
-        many = np.flatnonzero(phase == _SHRINK)
-        if one.size + many.size == 0:
-            break
-        sh, sh_j = np.nonzero(np.arange(1, n + 1) <= n_shrink[many, None])
-        sh, sh_j = many[sh], sh_j + 1
-        value = fun(np.concatenate([one, sh]), np.concatenate([trial[one], sim[sh, sh_j]]))
-        nfev[one] += 1
-        nfev[many] += n_shrink[many]
-        fsim[sh, sh_j] = value[one.size :]
-        _sort_simplices(sim, fsim, many)
-        phase[many] = _START
-
-        value, step = value[: one.size], phase[one]
-
-        r, fr = one[step == _REFLECT], value[step == _REFLECT]
-        f_r[r] = fr
-        up = fr < fsim[r, 0]
-        mid = ~up & (fr < fsim[r, -2])
-        accept(r[mid], x_r[r[mid]], fr[mid])
-        e = stop_spent(r[up])
-        trial[e] = (1 + _RHO * _CHI) * xbar[e] - _RHO * _CHI * sim[e, -1]
-        phase[e] = _EXPAND
-        c = stop_spent(r[~up & ~mid])
-        out = f_r[c] < fsim[c, -1]
-        o, i = c[out], c[~out]
-        trial[o] = (1 + _PSI * _RHO) * xbar[o] - _PSI * _RHO * sim[o, -1]
-        phase[o] = _OUTSIDE
-        trial[i] = (1 - _PSI) * xbar[i] + _PSI * sim[i, -1]
-        phase[i] = _INSIDE
-
-        e, fe = one[step == _EXPAND], value[step == _EXPAND]
-        take = fe < f_r[e]
-        accept(e[take], trial[e[take]], fe[take])
-        accept(e[~take], x_r[e[~take]], f_r[e[~take]])
-
-        o, fo = one[step == _OUTSIDE], value[step == _OUTSIDE]
-        take = fo <= f_r[o]
-        accept(o[take], trial[o[take]], fo[take])
-        shrink(o[~take])
-
-        i, fi = one[step == _INSIDE], value[step == _INSIDE]
-        take = fi < fsim[i, -1]
-        accept(i[take], trial[i[take]], fi[take])
-        shrink(i[~take])
-
-    return sim[:, 0].copy(), np.min(fsim, axis=1), nfev
+    x = np.array(x0, dtype=np.float64)
+    f = fun(np.arange(len(x)), x)
+    nfev = np.ones(len(x), dtype=int)
+    iters = np.zeros(len(x), dtype=int)
+    go = np.flatnonzero(np.isfinite(f))
+    while go.size:
+        iters[go] += 1
+        ring = fun(np.repeat(go, 8), (x[go, None] + _STEP * _STENCIL).reshape(-1, 2))
+        ring = ring.reshape(go.size, 8)
+        nfev[go] += 8
+        with np.errstate(invalid="ignore"):  # a stencil point at +inf
+            g1 = (ring[:, 0] - ring[:, 1]) / (2.0 * _STEP)
+            g2 = (ring[:, 2] - ring[:, 3]) / (2.0 * _STEP)
+            a = (ring[:, 0] - 2.0 * f[go] + ring[:, 1]) / _STEP**2
+            c = (ring[:, 2] - 2.0 * f[go] + ring[:, 3]) / _STEP**2
+            b = (ring[:, 4] - ring[:, 5] - ring[:, 6] + ring[:, 7]) / (4.0 * _STEP**2)
+            rad = np.hypot(0.5 * (a - c), b)
+            lo, hi = 0.5 * (a + c) - rad, 0.5 * (a + c) + rad
+            shift = np.maximum(0.0, 1e-6 * np.maximum(np.abs(hi), 1.0) - 2.0 * lo)
+            a, c = a + shift, c + shift
+            det = a * c - b * b
+            step = -np.column_stack([c * g1 - b * g2, a * g2 - b * g1]) / det[:, None]
+        size = np.hypot(step[:, 0], step[:, 1])
+        move = np.zeros(go.size)
+        trying = np.flatnonzero(np.isfinite(size))
+        for _ in range(_MAX_HALVINGS + 1):
+            if trying.size == 0:
+                break
+            points = x[go[trying]] + step[trying]
+            value = fun(go[trying], points)
+            nfev[go[trying]] += 1
+            down = value <= f[go[trying]]
+            x[go[trying[down]]], f[go[trying[down]]] = points[down], value[down]
+            move[trying[down]] = size[trying[down]]
+            trying = trying[~down]
+            step[trying] *= 0.5
+            size[trying] *= 0.5
+            trying = trying[size[trying] >= _XTOL]  # a shorter move would stop the search
+        go = go[(move >= _XTOL) & (iters[go] < _MAX_ITER)]
+    return x, f, nfev, iters
 
 
 def _fit_blocks(
@@ -505,12 +435,12 @@ def _fit_blocks(
     alpha: float,
     stats: dict | None = None,
 ):
-    """Multistart anisotropy fits of blocks that share within-block sites z.
+    """Anisotropy fits of blocks that share within-block sites z.
 
-    values holds one block per row.  All 2 x blocks Nelder-Mead searches
-    run in lockstep on the lag table of z, and each block keeps the first
-    start with the lowest value.  Returns mu, phi and loglik per block, and
-    per block the reason it has no estimate (None when it has one).
+    values holds one block per row.  The Newton searches of all blocks start
+    at mu = 0 and run in lockstep on the lag table of z.  Returns mu, phi and
+    loglik per block, and per block the reason it has no estimate (None when
+    it has one).
     """
     n_blocks = values.shape[0]
     mu = np.full(n_blocks, complex(np.nan, np.nan))
@@ -527,59 +457,25 @@ def _fit_blocks(
 
     table = _lag_table(z, rows)
     ytilde = ytilde[fit]
-    n_starts = len(_STARTS)
-    x, fval, nfev = _nelder_mead_lockstep(
-        lambda search, points: _profiled_nll(table, ytilde, alpha, search // n_starts, points)[0],
-        np.tile(_STARTS, (fit.size, 1)),
-        xatol=_XATOL,
-        fatol=_FATOL,
-        maxfev=_MAXFEV,
+    x, fval, nfev, iters = _newton_lockstep(
+        lambda search, points: _profiled_nll(table, ytilde, alpha, search, points)[0],
+        np.zeros((fit.size, 2)),
     )
     if stats is not None:
         stats["nll_evals"] = stats.get("nll_evals", 0) + int(nfev.sum())
-        stats["searches_at_maxfev"] = stats.get("searches_at_maxfev", 0) + int(
-            np.sum(nfev >= _MAXFEV)
+        stats["fits_at_maxiter"] = stats.get("fits_at_maxiter", 0) + int(
+            np.sum(iters >= _MAX_ITER)
         )
-    fval = fval.reshape(fit.size, n_starts)
-    win = np.argmin(fval, axis=1)  # the first start among equal values
-    best = np.arange(fit.size) * n_starts + win
-    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x[best])
+    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x)
     for row, k in enumerate(fit):
-        fun = float(fval[row, win[row]])
-        if not np.isfinite(fun):
-            reason[k] = "anisotropy likelihood infeasible at every start"
+        if not np.isfinite(fval[row]):
+            reason[k] = "anisotropy likelihood infeasible at mu = 0"
             continue
-        mu[k] = _mu_from_x(x[best[row]])
+        mu[k] = _mu_from_x(x[row])
         stretch = s_hat[row] ** (1.0 / alpha)
         phi[k] = np.clip(stretch * np.sqrt(1.0 - abs(mu[k]) ** 2), *_PHI_BOUNDS)
-        loglik[k] = -fun
+        loglik[k] = -float(fval[row])
     return mu, phi, loglik, reason
-
-
-def estimate_theta(
-    block: np.ndarray,
-    data: SampleField,
-    alpha_hat: float,
-    L: ContrastMatrix,
-) -> AnisotropyParams:
-    """Local dilatation and scale of one neighborhood.
-
-    Maximizes the contrast likelihood of a geometric-anisotropic kernel.
-    mu is searched over unconstrained coordinates (t1, t2) with
-    mu = tanh(r) e^{i omega}, (r, omega) the polar form of (t1, t2), by
-    Nelder-Mead from the two starts mu = 0 and mu = 0.3, keeping the lower
-    value; the scale enters the homogeneous kernel as a pure covariance
-    factor and is profiled out in closed form at each mu.  Returns the best
-    local optimum found.  The search and likelihood are those of
-    estimate_field, run for one block.
-    """
-    idx = np.asarray(block).ravel()
-    mu, phi, _, reason = _fit_blocks(
-        data.locations[idx], L.rows, data.values[idx][None, :], alpha_hat
-    )
-    if reason[0] is not None:
-        raise EstimationError(reason[0])
-    return AnisotropyParams(mu=complex(mu[0]), phi=float(phi[0]))
 
 
 @dataclass
@@ -616,14 +512,22 @@ class DilatationScaleField:
     @classmethod
     def from_csv(cls, path: str, alpha_used: float, geometry: dict | None = None):
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [ln.strip() for ln in handle if ln.strip()]
-        if not lines or lines[0] != "cx,cy,mu_re,mu_im,phi,loglik,status":
+            lines = [(n, ln.strip()) for n, ln in enumerate(handle, start=1) if ln.strip()]
+        if not lines or lines[0][1] != "cx,cy,mu_re,mu_im,phi,loglik,status":
             raise ArtifactError(f"{path}: not a dilatation/scale CSV")
-        rows = [ln.split(",") for ln in lines[1:]]
-        centers = np.array([float(r[0]) + 1j * float(r[1]) for r in rows])
-        mu = np.array([float(r[2]) + 1j * float(r[3]) for r in rows])
-        phi = np.array([float(r[4]) for r in rows])
-        loglik = np.array([float(r[5]) for r in rows])
+        rows = []
+        for number, line in lines[1:]:
+            row = line.split(",")
+            if len(row) != 7:
+                raise ArtifactError(f"{path}: line {number} has {len(row)} fields, expected 7")
+            try:
+                rows.append([float(v) for v in row[:6]] + row[6:])
+            except ValueError as exc:
+                raise ArtifactError(f"{path}: line {number}: {exc}") from None
+        centers = np.array([r[0] + 1j * r[1] for r in rows])
+        mu = np.array([r[2] + 1j * r[3] for r in rows])
+        phi = np.array([r[4] for r in rows])
+        loglik = np.array([r[5] for r in rows])
         status = np.array([r[6] for r in rows], dtype=object)
         return cls(centers, mu, phi, loglik, status, alpha_used, geometry or {})
 
@@ -641,12 +545,14 @@ def estimate_field(
     The contrasts have degree floor(alpha_max / 2), as in estimate_alpha.
     The blocks must be translates of one another, as partition_grid makes
     them, so one lag table serves every block (6.4 MB at block 10, growing
-    as block^6: 81 MB at 15, 0.47 GB at 20), and all Nelder-Mead searches
-    advance together with one batched likelihood evaluation per step.
-    Blocks whose likelihood degenerates are marked missing rather than
-    aborting the sweep.  A given stats dict gets the likelihood evaluations
-    (nll_evals) and the searches stopped by the evaluation cap
-    (searches_at_maxfev).
+    as block^6: 81 MB at 15, 0.47 GB at 20).  Every block is fitted by a
+    damped Newton search from mu = 0 on finite differences of the profiled
+    likelihood, and the searches of all blocks advance together with one
+    batched likelihood evaluation per stencil or step trial.  Blocks whose
+    likelihood degenerates are marked missing rather than aborting the
+    sweep.  A given stats dict gets the likelihood evaluations (nll_evals,
+    stencils and step trials included) and the fits that used all
+    _MAX_ITER iterations (fits_at_maxiter).
     """
     rel, values = _shared_blocks(data, partition.blocks)
     rows = increment_matrix(rel, int(np.floor(alpha_max / 2.0))).rows

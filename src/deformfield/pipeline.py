@@ -17,7 +17,7 @@ import numpy as np
 from .config import PipelineConfig
 from .conformal import compose_estimate, distance_d1, distance_d2
 from .diskgeom import interpolate_dilatation, smooth_dilatation
-from .errors import ConfigError
+from .errors import ArtifactError, ConfigError
 from .fields import (
     SampleField,
     add_noise,
@@ -52,7 +52,12 @@ def _read_meta(path: str, cfg: PipelineConfig, force: bool) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"missing upstream artifact {path}; run the earlier stage first")
     with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(meta, dict):
+        raise ArtifactError(f"{path}: not a JSON object")
     if meta.get("config_hash") != cfg.config_hash():
         msg = (
             f"{path} was produced under config {meta.get('config_hash')}, "
@@ -122,7 +127,7 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
                 "blocks_ok": int(ok.sum()),
                 "blocks_missing": int((~ok).sum()),
                 "nll_evals": stats.get("nll_evals", 0),
-                "searches_at_maxfev": stats.get("searches_at_maxfev", 0),
+                "fits_at_maxiter": stats.get("fits_at_maxiter", 0),
                 "alpha_evals": stats["alpha_evals"],
             },
         },
@@ -162,7 +167,7 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
     write_grd(mu_star, os.path.join(out_dir, "mustar.grd"))
 
     f_check, phi_check = reconstruct_map(mu_star, steps=cfg.flow_steps, stats=stats)
-    f_hat = compose_estimate(f_check, phi_check, smoothed, n_max=cfg.harmonic_n)
+    f_hat = compose_estimate(f_check, phi_check, smoothed, n_max=cfg.harmonic_n, stats=stats)
     write_grd(f_check, os.path.join(out_dir, "fcheck.grd"))
     write_grd(phi_check, os.path.join(out_dir, "phicheck.grd"))
     write_grd(f_hat, os.path.join(out_dir, "fhat.grd"))
@@ -194,6 +199,11 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
             "flow_check": {
                 "min_det_j": stats["min_det_j"],
                 "max_mu_gap": stats["max_mu_gap"],
+            },
+            # the log-scale fit of the conformal correction
+            "harmonic_fit": {
+                "residual": stats["harmonic_residual"],
+                "rank_deficient": stats["harmonic_rank_deficient"],
             },
         },
     )

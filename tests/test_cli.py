@@ -120,6 +120,42 @@ def test_truncated_field_exits_four(tmp_path, capsys):
     assert err.startswith("i/o failure: ") and "field.grd" in err and err.count("\n") == 1
 
 
+def test_short_estimates_row_exits_four(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["estimate", "--config", str(path)]) == 0
+    lines = (out / "estimates.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 3)[0]  # the second block loses phi, loglik and status
+    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and "estimates.csv: line 3" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob: blob[: len(blob) // 2], "field_meta.json: line "),
+        (lambda blob: b"[]\n", "field_meta.json: not a JSON object"),
+    ],
+    ids=["cut-off", "not-an-object"],
+)
+def test_truncated_meta_exits_four(tmp_path, capsys, corrupt, message):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["simulate", "--config", str(path)]) == 0
+    (out / "field_meta.json").write_bytes(corrupt((out / "field_meta.json").read_bytes()))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and message in err and err.count("\n") == 1
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     out = str(tmp_path / "out")

@@ -8,6 +8,7 @@ from deformfield.fields import (
     CovarianceModel,
     DeformationSpec,
     SampleField,
+    _covariance_matrix,
     add_noise,
     apply_deformation,
     covariance_eval,
@@ -152,6 +153,24 @@ def test_simulation_deterministic_per_seed():
     c = simulate_isotropic(m, pts, 8)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0),
+        CovarianceModel.matern(1.0, 0.4, 0.85),
+        CovarianceModel.powered_exponential(1.0, 0.3, 1.0),
+    ],
+)
+def test_covariance_matrix_matches_elementwise_kernel(model):
+    # one distinct distance per pair (bent sites) and many repeats (lattice)
+    ax = np.arange(12) / 11.0
+    lattice = (ax[:, None] + 1j * ax[None, :]).ravel()
+    bent = apply_deformation(DeformationSpec.rotational(), lattice)
+    for sites in (lattice, bent):
+        dist = np.abs(sites[:, None] - sites[None, :])
+        assert np.array_equal(_covariance_matrix(model, sites), covariance_eval(model, dist))
 
 
 def test_simulation_exact_cap():

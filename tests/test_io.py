@@ -17,7 +17,7 @@ from deformfield.config import (
 from deformfield import pipeline
 from deformfield.errors import ConfigError
 from deformfield.grids import read_grd, write_grd
-from deformfield.likelihood import _STARTS
+from deformfield.likelihood import _MAX_HALVINGS, _MAX_ITER
 from deformfield.pipeline import (
     run_pipeline,
     stage_estimate,
@@ -217,14 +217,15 @@ def test_estimate_meta_counts_repeat(tmp_path):
     counts, blob = _estimate_counts(cfg, out)
     assert _estimate_counts(cfg, out)[1] == blob  # reruns are byte-identical
     assert set(counts) == {
-        "blocks_ok", "blocks_missing", "nll_evals", "searches_at_maxfev", "alpha_evals"
+        "blocks_ok", "blocks_missing", "nll_evals", "fits_at_maxiter", "alpha_evals"
     }
     assert counts["blocks_ok"] == 9 and counts["blocks_missing"] == 0
-    # one search per start and block; each starts with a 3-vertex simplex
-    # and stops at 400
-    n = 9 * len(_STARTS)
-    assert n * 3 < counts["nll_evals"] <= n * 400
-    assert 0 <= counts["searches_at_maxfev"] <= n
+    # one Newton search per block: the start, then per iteration an 8-point
+    # stencil and between 1 and 1 + _MAX_HALVINGS step trials
+    assert 9 * (1 + 8 + 1) <= counts["nll_evals"] <= 9 * (
+        1 + _MAX_ITER * (8 + 1 + _MAX_HALVINGS)
+    )
+    assert 0 <= counts["fits_at_maxiter"] <= 9
     assert counts["alpha_evals"] >= 2
 
 
@@ -297,3 +298,34 @@ def test_reconstruct_meta_counts(tmp_path, monkeypatch):
     assert planted["mu_star_clipped"] == int(np.sum(np.isclose(np.abs(mu_star), 0.25)))
     assert 0 < planted["mu_star_clipped"] < mu_star.size
     assert planted["karcher_not_converged"] == 0
+
+
+def test_reconstruct_meta_harmonic_fit(tmp_path):
+    cfg = _mini_config(grid_nx=30, grid_ny=30, flow_lattice=16, d1_samples=2000, harmonic_n=2)
+    out = str(tmp_path / "run")
+    stage_simulate(cfg, out)
+    stage_estimate(cfg, out)
+
+    def harmonic_fit():
+        stage_reconstruct(cfg, out)
+        with open(os.path.join(out, "reconstruct_meta.json"), "rb") as fh:
+            blob = fh.read()
+        return json.loads(blob)["harmonic_fit"], blob
+
+    fit, blob = harmonic_fit()
+    assert harmonic_fit()[1] == blob  # reruns are byte-identical
+    assert set(fit) == {"residual", "rank_deficient"}
+    assert fit["rank_deficient"] is False and fit["residual"] >= 0.0
+
+    # plant a 20-fold scale spike in block 4: no degree-2 harmonic follows it
+    path = os.path.join(out, "estimates.csv")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[5].split(",")
+    cells[4] = repr(20.0 * float(cells[4]))
+    lines[5] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    spiked, blob = harmonic_fit()
+    assert harmonic_fit()[1] == blob
+    assert spiked["residual"] > fit["residual"] + 0.5
