@@ -11,7 +11,6 @@ from .config import PipelineConfig, parse_config, read_config, write_config
 from .conformal import (
     DiskTransform,
     HarmonicFit,
-    align_rigid,
     compose_estimate,
     distance_d1,
     distance_d2,
@@ -21,7 +20,6 @@ from .conformal import (
 )
 from .diskgeom import (
     EllipseParams,
-    ellipse_to_mu,
     frechet_mean,
     hyperbolic_distance,
     interpolate_dilatation,
@@ -46,7 +44,6 @@ from .fields import (
     add_noise,
     apply_deformation,
     covariance_eval,
-    covariance_polynomial_part,
     empirical_variogram,
     g_alpha,
     numeric_dilatation,
@@ -56,13 +53,11 @@ from .fields import (
     variogram_slope,
 )
 from .flow import FlowState, flow_step, poisson_solve_dirichlet, reconstruct_map, sigma_field
-from .grids import ComplexGrid, Grid, grid_sample, read_grd, write_grd, write_grid_csv
+from .grids import ComplexGrid, Grid, grid_sample, read_grd, write_grd
 from .increments import ContrastMatrix, increment_matrix, monomial_basis
 from .likelihood import (
-    AnisotropyParams,
     DilatationScaleField,
     NeighborhoodPartition,
-    aniso_g,
     estimate_alpha,
     estimate_field,
     partition_grid,
@@ -78,7 +73,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnisotropyParams",
     "ArtifactError",
     "ComplexGrid",
     "ConfigError",
@@ -101,15 +95,11 @@ __all__ = [
     "SampleField",
     "SimulationError",
     "add_noise",
-    "align_rigid",
-    "aniso_g",
     "apply_deformation",
     "compose_estimate",
     "covariance_eval",
-    "covariance_polynomial_part",
     "distance_d1",
     "distance_d2",
-    "ellipse_to_mu",
     "embed_to_disk",
     "empirical_variogram",
     "estimate_alpha",
@@ -146,5 +136,4 @@ __all__ = [
     "variogram_slope",
     "write_config",
     "write_grd",
-    "write_grid_csv",
 ]

@@ -20,7 +20,7 @@ from .likelihood import DilatationScaleField
 
 log = logging.getLogger(__name__)
 
-GAUSS_NODES = 32  # Gauss-Legendre nodes per unit of path length
+GAUSS_NODES = 32  # Gauss-Legendre nodes of the one panel from 0 to each point
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,11 @@ class HarmonicFit:
 
     n_max: int
     coefficients: np.ndarray  # complex, A_0 .. A_N with Im A_0 = 0
-    disk_transform: DiskTransform | None
     residual: float
     rank_deficient: bool = False
 
 
-def fit_log_scale(
-    w_points, targets, n_max: int, *, transform: DiskTransform | None = None
-) -> HarmonicFit:
+def fit_log_scale(w_points, targets, n_max: int) -> HarmonicFit:
     """Fit the harmonic expansion of a log conformal factor.
 
     With w = r e^{i theta}, the design columns are 1, r^n cos(n theta)
@@ -108,40 +105,24 @@ def fit_log_scale(
     return HarmonicFit(
         n_max=n_max,
         coefficients=a + 1j * b,
-        disk_transform=transform,
         residual=residual,
         rank_deficient=deficient,
     )
 
 
-def _log_hprime(fit: HarmonicFit, z: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(z, fit.coefficients)
-
-
-def _integrate_segment(fit: HarmonicFit, z0, z1) -> np.ndarray:
-    """integral of exp(P) along the straight segment z0 -> z1."""
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
-    s = 0.5 * (nodes + 1.0)  # [0, 1]
-    q = 0.5 * weights
-    z0 = np.asarray(z0, dtype=np.complex128)
-    z1 = np.asarray(z1, dtype=np.complex128)
-    zpts = z0[..., None] + s * (z1 - z0)[..., None]
-    vals = np.exp(_log_hprime(fit, zpts))
-    return (z1 - z0) * np.sum(q * vals, axis=-1)
-
-
 def integrate_hprime(fit: HarmonicFit, eval_points) -> np.ndarray:
-    """h(w) = int_0^w exp(sum A_n zeta^n) d zeta along straight rays.
+    """h(w) = int_0^w exp(sum A_n zeta^n) d zeta along the straight ray from 0.
 
-    Composite Gauss-Legendre with 32 nodes per unit of path length;
-    all disk points are within distance 1 of the origin, so a single
-    panel reaches quadrature-level accuracy for these smooth integrands.
+    One Gauss-Legendre panel of GAUSS_NODES nodes on each ray.  Disk points
+    lie within distance 1 of the origin, and for these smooth integrands the
+    single panel reaches quadrature-level accuracy.  Scalar or array points
+    give values alike.
     """
     pts = np.asarray(eval_points, dtype=np.complex128)
-    scalar = pts.ndim == 0
-    pts = np.atleast_1d(pts)
-    out = _integrate_segment(fit, np.zeros_like(pts), pts)
-    return out[0] if scalar else out
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    zeta = pts[..., None] * (0.5 * (nodes + 1.0))  # the nodes mapped onto [0, w]
+    vals = np.exp(np.polynomial.polynomial.polyval(zeta, fit.coefficients))
+    return pts * np.sum(0.5 * weights * vals, axis=-1)
 
 
 def scale_correction_fit(
@@ -168,7 +149,7 @@ def scale_correction_fit(
         np.log(phi_hat[good]) - np.log(phi_flow[good]) + np.log(transform.radius)
     )
     w_disk = transform.forward(w_centers[good])
-    fit = fit_log_scale(w_disk, targets, n_max, transform=transform)
+    fit = fit_log_scale(w_disk, targets, n_max)
     return fit, transform, w_disk, targets
 
 
@@ -201,23 +182,6 @@ def compose_estimate(
 
 # ---------------------------------------------------------------------------
 # Distances between deformations
-
-
-def align_rigid(points_src: np.ndarray, points_dst: np.ndarray) -> tuple[complex, complex]:
-    """Rigid motion (rotation, shift) minimizing |rot*src + shift - dst|^2.
-
-    Rotation and translation only, no scaling.  Returns (rot, shift)
-    with |rot| = 1, to be applied as rot * src + shift.
-    """
-    src = np.asarray(points_src, dtype=np.complex128).ravel()
-    dst = np.asarray(points_dst, dtype=np.complex128).ravel()
-    if src.shape != dst.shape or src.size == 0:
-        raise ValueError("point sets must be non-empty and of equal length")
-    ms, md = src.mean(), dst.mean()
-    cross = np.sum((dst - md) * np.conj(src - ms))
-    rot = cross / abs(cross) if abs(cross) > 0 else 1.0 + 0.0j
-    shift = md - rot * ms
-    return complex(rot), complex(shift)
 
 
 def distance_d1(

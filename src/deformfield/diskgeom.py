@@ -65,13 +65,6 @@ def mu_to_ellipse(mu: complex) -> EllipseParams:
     return EllipseParams((1.0 + m) / (1.0 - m), incl)
 
 
-def ellipse_to_mu(e: EllipseParams) -> complex:
-    if e.eccentricity < 1.0:
-        raise ValueError("eccentricity must be >= 1")
-    m = (e.eccentricity - 1.0) / (e.eccentricity + 1.0)
-    return complex(-m * np.exp(2j * e.inclination))
-
-
 KARCHER_MAX_ITER = 100
 _TOL = 1e-12  # Newton step length, in units of the metric, that counts as converged
 _EPS = np.finfo(np.float64).eps
@@ -193,17 +186,16 @@ def smooth_dilatation(
     field: DilatationScaleField,
     window: int = 4,
     *,
-    smooth_phi: bool = False,
     stats: dict | None = None,
 ) -> DilatationScaleField:
     """Sliding-window Frechet (p=2) smoothing of the dilatation field.
 
     Uniform weights over the window x window patch, clipped to the
     rectangle that overlaps the field near the boundary.  Missing blocks
-    are imputed from the available entries of their patch.  phi is left
-    untouched unless smooth_phi is set, in which case it is smoothed as
-    exp(mean log phi) over the same patches.  Patches are padded to
-    window^2 entries with zero weights for one frechet_mean call (with stats).
+    are imputed from the available entries of their patch: mu by the
+    Frechet mean, phi by the geometric mean exp(mean log phi).  phi of an
+    estimated block is left as it is.  Patches are padded to window^2
+    entries with zero weights for one frechet_mean call (with stats).
     """
     nbx = field.geometry.get("nbx")
     nby = field.geometry.get("nby")
@@ -219,12 +211,12 @@ def smooth_dilatation(
     has = use.any(axis=1)
     mu = field.mu.copy()
     mu[has] = frechet_mean(np.where(use, field.mu[patch], 0.0)[has], use[has], stats=stats)
-    log_phi = np.log(np.where(use, field.phi[patch], 1.0))
+    fill = has & ~ok
     phi = field.phi.copy()
-    fill = has if smooth_phi else has & ~ok
-    phi[fill] = np.exp(log_phi[fill].sum(axis=1) / use[fill].sum(axis=1))
+    log_phi = np.log(np.where(use[fill], field.phi[patch[fill]], 1.0))
+    phi[fill] = np.exp(log_phi.sum(axis=1) / use[fill].sum(axis=1))
     status = np.array(field.status, dtype=object)
-    status[has & ~ok] = STATUS_IMPUTED
+    status[fill] = STATUS_IMPUTED
     status[~has] = STATUS_MISSING
     return replace(
         field,

@@ -14,7 +14,7 @@ simulation evaluates Z at the deformed locations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -175,30 +175,6 @@ def covariance_eval(model: CovarianceModel, t) -> np.ndarray | float:
     return out[0] if scalar else out
 
 
-def covariance_polynomial_part(model: CovarianceModel, t) -> np.ndarray | float:
-    """The even-polynomial part sum_{k<=p_alpha} K^(2k)(0) t^(2k) / (2k)!.
-
-    Closed form per family, used to expose the fractional remainder
-    K(t) - poly(t) ~ c * G_alpha(t).
-    """
-    t = np.abs(np.asarray(t, dtype=np.float64))
-    p = p_alpha(model.alpha)
-    if model.family == POWERED_EXPONENTIAL:
-        # alpha < 2 so p = 0: only the constant survives
-        return np.full_like(t, model.variance) if t.ndim else model.variance
-    nu = model.alpha / 2.0
-    out = np.zeros_like(np.atleast_1d(t))
-    for k in range(p + 1):
-        coef = (
-            model.variance
-            * special.gamma(1.0 - nu)
-            / (special.factorial(k) * special.gamma(k + 1.0 - nu))
-            / (2.0 * model.range) ** (2 * k)
-        )
-        out = out + coef * np.atleast_1d(t) ** (2 * k)
-    return out[0] if t.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 
@@ -209,7 +185,6 @@ class SampleField:
 
     locations: np.ndarray
     values: np.ndarray
-    provenance: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         self.locations = np.asarray(self.locations, dtype=np.complex128).ravel()
@@ -285,15 +260,14 @@ def simulate_isotropic(
     locations,
     seed: int,
     *,
-    max_exact: int = MAX_EXACT_SIM,
     blocks=None,
 ) -> SampleField:
     """Draw one realization of the isotropic field at arbitrary locations.
 
     Exact dense simulation (symmetric factorization of the full covariance)
-    up to max_exact points.  Larger problems must pass ``blocks``, a list of
-    index arrays covering every location; each block is then simulated
-    exactly but independently of the others.  That approximation matches the
+    up to MAX_EXACT_SIM points.  Larger problems must pass ``blocks``, a
+    list of index arrays covering every location; each block is then
+    simulated exactly but independently of the others.  That approximation matches the
     independence the block likelihood assumes, and block draws are seeded
     per block so results do not depend on evaluation order.
 
@@ -306,9 +280,9 @@ def simulate_isotropic(
         raise ValueError("no locations to simulate")
     root = np.random.SeedSequence(seed)
     if blocks is None:
-        if n > max_exact:
+        if n > MAX_EXACT_SIM:
             raise SimulationError(
-                f"{n} locations exceed the exact-simulation cap {max_exact}; "
+                f"{n} locations exceed the exact-simulation cap {MAX_EXACT_SIM}; "
                 "pass blocks= for block-independent simulation"
             )
         values = _simulate_dense(model, locations, np.random.default_rng(root))
@@ -319,17 +293,11 @@ def simulate_isotropic(
         values = np.empty(n)
         for k, block in enumerate(blocks):
             idx = np.asarray(block).ravel()
-            if idx.size > max_exact:
-                raise SimulationError(
-                    f"block {k} holds {idx.size} > {max_exact} locations"
-                )
+            if idx.size > MAX_EXACT_SIM:
+                raise SimulationError(f"block {k} holds {idx.size} > {MAX_EXACT_SIM} locations")
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
             values[idx] = _simulate_dense(model, locations[idx], rng)
-    return SampleField(
-        locations,
-        values,
-        provenance={"family": model.family, "alpha": model.alpha, "seed": seed},
-    )
+    return SampleField(locations, values)
 
 
 def simulation_blocks(nx: int, ny: int, max_side: int) -> list[np.ndarray]:
@@ -351,15 +319,10 @@ def add_noise(field: SampleField, fraction: float, seed: int) -> SampleField:
     if fraction < 0:
         raise ValueError("noise fraction must be non-negative")
     if fraction == 0.0:
-        return SampleField(
-            field.locations, field.values.copy(), dict(field.provenance)
-        )
+        return SampleField(field.locations, field.values.copy())
     sd = fraction * np.std(field.values, ddof=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0,)))
-    noisy = field.values + sd * rng.standard_normal(len(field))
-    prov = dict(field.provenance)
-    prov["noise_fraction"] = fraction
-    return SampleField(field.locations, noisy, prov)
+    return SampleField(field.locations, field.values + sd * rng.standard_normal(len(field)))
 
 
 # ---------------------------------------------------------------------------

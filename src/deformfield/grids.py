@@ -158,22 +158,3 @@ def read_grd(path: str) -> Grid:
     values = np.frombuffer(body, dtype=dtype).reshape(nx, ny)
     cls = ComplexGrid if kind else Grid
     return cls(nx, ny, (x0, y0), (dx, dy), values.copy())
-
-
-def write_grid_csv(grid: Grid, path: str) -> None:
-    """CSV export with one row per lattice site, row-major."""
-    complex_valued = isinstance(grid, ComplexGrid)
-    lines = ["x,y,re,im" if complex_valued else "x,y,value"]
-    xs = grid.x()
-    ys = grid.y()
-    v = grid.values
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if complex_valued:
-                lines.append(
-                    f"{float(xs[i])!r},{float(ys[j])!r},"
-                    f"{float(v[i, j].real)!r},{float(v[i, j].imag)!r}"
-                )
-            else:
-                lines.append(f"{float(xs[i])!r},{float(ys[j])!r},{float(v[i, j])!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -12,7 +12,6 @@ yields local dilatation and scale estimates.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field as dataclass_field
 
@@ -29,6 +28,7 @@ from .increments import increment_matrix
 log = logging.getLogger(__name__)
 
 ALPHA_FLOOR = 0.05
+_ALPHA_TOL = 1e-3  # width of the final golden-section bracket on alpha
 MU_CAP = 1.0 - 1e-6
 
 STATUS_OK = "ok"
@@ -102,31 +102,6 @@ def partition_grid(
     return NeighborhoodPartition(blocks, centers, geometry)
 
 
-@dataclass(frozen=True)
-class AnisotropyParams:
-    """Local geometric-anisotropy parameters: dilatation mu, scale phi."""
-
-    mu: complex
-    phi: float
-
-    def __post_init__(self):
-        if abs(self.mu) > MU_CAP:
-            raise ValueError(f"|mu| = {abs(self.mu):.8f} exceeds {MU_CAP}")
-        if self.phi <= 0:
-            raise ValueError("phi must be positive")
-
-    @property
-    def stretch(self) -> float:
-        """|A| = phi / sqrt(1 - |mu|^2), the linear scale of the local map."""
-        return self.phi / np.sqrt(1.0 - abs(self.mu) ** 2)
-
-
-def aniso_g(theta: AnisotropyParams, alpha: float, z) -> np.ndarray | complex:
-    """Anisotropic kernel G_alpha(|A| * |z - mu * conj(z)|)."""
-    z = np.asarray(z, dtype=np.complex128)
-    return g_alpha(alpha, theta.stretch * np.abs(z - theta.mu * np.conj(z)))
-
-
 def _shared_blocks(data: SampleField, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Within-block coordinates shared by all blocks, and their values, one block per row.
 
@@ -165,7 +140,6 @@ def estimate_alpha(
     data: SampleField,
     partition: NeighborhoodPartition,
     alpha_max: float = 4.0,
-    tol: float = 1e-3,
     *,
     stats: dict | None = None,
 ) -> float:
@@ -195,7 +169,7 @@ def estimate_alpha(
     d = a + invphi * (b - a)
     fc, fd = total(c), total(d)
     n_evals = 2
-    while b - a > tol:
+    while b - a > _ALPHA_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -502,12 +476,6 @@ class DilatationScaleField:
                 f"{float(self.phi[k])!r},{float(self.loglik[k])!r},{self.status[k]}"
             )
         atomic_write_text(path, "\n".join(lines) + "\n")
-
-    def write_sidecar(self, path: str, extra: dict | None = None) -> None:
-        meta = {"alpha": self.alpha_used, "geometry": self.geometry}
-        if extra:
-            meta.update(extra)
-        atomic_write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_csv(cls, path: str, alpha_used: float, geometry: dict | None = None):

@@ -25,7 +25,7 @@ from .fields import (
     numeric_dilatation,
     simulate_isotropic,
 )
-from .flow import MU_STAR_CAP, reconstruct_map
+from .flow import reconstruct_map
 from .grids import (
     ComplexGrid,
     Grid,
@@ -117,11 +117,13 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     est = estimate_field(data, partition, alpha_hat, alpha_max=cfg.alpha_max, stats=stats)
     est.to_csv(os.path.join(out_dir, "estimates.csv"))
     ok = est.ok_mask()
-    est.write_sidecar(
+    _write_meta(
         os.path.join(out_dir, "estimates_meta.json"),
-        extra={
-            "stage": "estimate",
-            "config_hash": cfg.config_hash(),
+        "estimate",
+        cfg,
+        {
+            "alpha": est.alpha_used,
+            "geometry": est.geometry,
             # deterministic counts only: reruns must stay byte-identical
             "counts": {
                 "blocks_ok": int(ok.sum()),
@@ -136,12 +138,21 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
 
 
 def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> DilatationScaleField:
-    meta = _read_meta(os.path.join(out_dir, "estimates_meta.json"), cfg, force)
-    return DilatationScaleField.from_csv(
-        os.path.join(out_dir, "estimates.csv"),
-        alpha_used=float(meta["alpha"]),
-        geometry=meta["geometry"],
-    )
+    path = os.path.join(out_dir, "estimates_meta.json")
+    meta = _read_meta(path, cfg, force)
+    alpha = meta.get("alpha")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ArtifactError(f"{path}: key 'alpha' is missing or not a number")
+    geometry = meta.get("geometry")
+    for key in ("nbx", "nby", "block", "spacing"):
+        if not isinstance(geometry, dict) or key not in geometry:
+            raise ArtifactError(f"{path}: key 'geometry.{key}' is missing")
+    csv = os.path.join(out_dir, "estimates.csv")
+    est = DilatationScaleField.from_csv(csv, alpha_used=float(alpha), geometry=geometry)
+    nbx, nby = geometry["nbx"], geometry["nby"]
+    if est.centers.size != nbx * nby:
+        raise ArtifactError(f"{csv}: {est.centers.size} blocks, {path} expects {nbx}x{nby}")
+    return est
 
 
 def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) -> ComplexGrid:
@@ -156,13 +167,6 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
     spacing = ((x1 - x0) / (m - 1), (y1 - y0) / (m - 1))
     mu_star = ComplexGrid(m, m, (x0, y0), spacing, np.zeros((m, m), dtype=np.complex128))
     mu_vals = interpolate_dilatation(smoothed, mu_star.locations(), stats=stats)
-    wild = np.abs(mu_vals) > MU_STAR_CAP
-    if np.any(wild):
-        log.warning(
-            "clipping %d of %d flow-lattice dilatations to |mu| = %.3f",
-            int(wild.sum()), mu_vals.size, MU_STAR_CAP,
-        )
-        mu_vals[wild] *= MU_STAR_CAP / np.abs(mu_vals[wild])
     mu_star = mu_star.with_values(mu_vals.reshape(m, m))
     write_grd(mu_star, os.path.join(out_dir, "mustar.grd"))
 
@@ -193,7 +197,6 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
                 "karcher_sets": stats.get("karcher_sets", 0),
                 "karcher_not_converged": stats.get("karcher_not_converged", 0),
                 "points_extrapolated": stats["points_extrapolated"],
-                "mu_star_clipped": int(np.sum(wild)),
             },
             # the flow against its own target, over the lattice interior
             "flow_check": {

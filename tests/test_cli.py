@@ -1,5 +1,6 @@
 """Command line interface: exit codes, messages, and a small run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -136,6 +137,22 @@ def test_short_estimates_row_exits_four(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_missing_estimates_row_exits_four(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["estimate", "--config", str(path)]) == 0
+    lines = (out / "estimates.csv").read_text().splitlines()
+    del lines[3]  # the third of the 3 x 3 blocks
+    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and "estimates.csv: 8 blocks" in err and "3x3" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -154,6 +171,53 @@ def test_truncated_meta_exits_four(tmp_path, capsys, corrupt, message):
     assert main(["estimate", "--config", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda meta: meta.pop("alpha"), "key 'alpha' is missing or not a number"),
+        (lambda meta: meta.update(alpha="n/a"), "key 'alpha' is missing or not a number"),
+        (lambda meta: meta["geometry"].pop("nbx"), "key 'geometry.nbx' is missing"),
+        (lambda meta: meta["geometry"].pop("spacing"), "key 'geometry.spacing' is missing"),
+    ],
+    ids=["no-alpha", "alpha-not-a-number", "no-nbx", "no-spacing"],
+)
+def test_incomplete_estimates_meta_exits_four(tmp_path, capsys, corrupt, message):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["estimate", "--config", str(path)]) == 0
+    meta = json.loads((out / "estimates_meta.json").read_text())
+    corrupt(meta)
+    (out / "estimates_meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and f"estimates_meta.json: {message}" in err
+    assert err.count("\n") == 1
+
+
+def test_dilatation_over_the_flow_cap_exits_three(tmp_path, capsys):
+    # |mu| = 0.99995 in every block lies above the flow's cap at all 16 x 16
+    # flow-lattice points; the run stops there instead of clipping and folding
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out), flow_steps=5)
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["estimate", "--config", str(path)]) == 0
+    lines = (out / "estimates.csv").read_text().splitlines()
+    for k in range(1, len(lines)):
+        cells = lines[k].split(",")
+        cells[2:4] = ["0.99995", "0.0"]
+        lines[k] = ",".join(cells)
+    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: 256 of 256 flow-lattice points")
+    assert err.count("\n") == 1
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):

@@ -5,8 +5,6 @@ import pytest
 
 from deformfield import diskgeom
 from deformfield.diskgeom import (
-    EllipseParams,
-    ellipse_to_mu,
     frechet_mean,
     hyperbolic_distance,
     interpolate_dilatation,
@@ -107,7 +105,9 @@ def test_distance_rejects_points_outside_disk():
 def test_ellipse_round_trip():
     rng = np.random.default_rng(5)
     for mu in _random_disk_points(rng, 50):
-        back = ellipse_to_mu(mu_to_ellipse(complex(mu)))
+        e = mu_to_ellipse(complex(mu))
+        # invert: |mu| = (ecc - 1) / (ecc + 1), arg(-mu) = 2 inclination
+        back = -(e.eccentricity - 1.0) / (e.eccentricity + 1.0) * np.exp(2j * e.inclination)
         assert abs(back - mu) < 1e-12
 
 
@@ -116,7 +116,6 @@ def test_ellipse_reference_values():
     e = mu_to_ellipse(-0.5 + 0.0j)
     assert e.eccentricity == pytest.approx(3.0, abs=1e-12)
     assert e.inclination == pytest.approx(0.0, abs=1e-12)
-    assert ellipse_to_mu(EllipseParams(3.0, 0.0)) == pytest.approx(-0.5 + 0.0j, abs=1e-12)
     # circle: no distortion, inclination fixed at 0 by convention
     e0 = mu_to_ellipse(0.0j)
     assert e0.eccentricity == 1.0 and e0.inclination == 0.0
@@ -133,8 +132,6 @@ def test_ellipse_inclination_in_range():
 def test_ellipse_validation():
     with pytest.raises(ValueError):
         mu_to_ellipse(1.0 + 0.0j)
-    with pytest.raises(ValueError):
-        ellipse_to_mu(EllipseParams(0.5, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +347,18 @@ def test_smooth_imputes_missing_block():
 
 
 def test_smooth_phi_geometric_mean():
-    phi = np.full(16, 2.0)
-    phi[0] = 8.0
-    field = _make_field(4, 4, np.zeros(16), phi=phi)
-    sm = smooth_dilatation(field, window=4, smooth_phi=True)
-    # every patch is log-averaged; untouched patches keep phi = 2
-    assert sm.phi[15] == pytest.approx(2.0, abs=1e-12)
-    assert sm.phi[0] > 2.0
+    # block 5 is missing; its 2 x 2 window holds blocks 5, 6, 9 and 10, so it
+    # is imputed with the geometric mean of phi over 6, 9 and 10, while every
+    # estimated block keeps its own phi
+    phi = np.linspace(0.5, 4.0, 16)
+    status = np.array([STATUS_OK] * 16, dtype=object)
+    status[5] = STATUS_MISSING
+    phi[5] = np.nan
+    sm = smooth_dilatation(_make_field(4, 4, np.zeros(16), phi=phi, status=status), window=2)
+    assert sm.status[5] == "imputed"
+    assert sm.phi[5] == pytest.approx(np.cbrt(phi[6] * phi[9] * phi[10]), rel=1e-12)
+    keep = np.arange(16) != 5
+    assert np.array_equal(sm.phi[keep], phi[keep])
 
 
 def test_smooth_window_validation():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from deformfield.errors import OrientationError, SimulationError
 from deformfield.fields import (
+    MAX_EXACT_SIM,
+    POWERED_EXPONENTIAL,
     CovarianceModel,
     DeformationSpec,
     SampleField,
@@ -12,7 +15,6 @@ from deformfield.fields import (
     add_noise,
     apply_deformation,
     covariance_eval,
-    covariance_polynomial_part,
     empirical_variogram,
     g_alpha,
     numeric_dilatation,
@@ -110,6 +112,21 @@ def test_matern_rejects_integer_halves():
         CovarianceModel.polynomial_plus_fractional(1.0, 2.0, 1.0)
 
 
+def _polynomial_part(model: CovarianceModel, t: float) -> float:
+    """The even-polynomial part sum_{k<=p_alpha} K^(2k)(0) t^(2k) / (2k)!, in closed form."""
+    if model.family == POWERED_EXPONENTIAL:
+        return model.variance  # alpha < 2, so p_alpha = 0: only the constant survives
+    nu = model.alpha / 2.0
+    return sum(
+        model.variance
+        * special.gamma(1.0 - nu)
+        / (special.factorial(k) * special.gamma(k + 1.0 - nu))
+        / (2.0 * model.range) ** (2 * k)
+        * t ** (2 * k)
+        for k in range(p_alpha(model.alpha) + 1)
+    )
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -123,7 +140,7 @@ def test_matern_rejects_integer_halves():
 def test_fractional_remainder_ratio(model):
     # (K(t) - even polynomial part) / (c G_alpha(t)) -> 1 as t -> 0
     def ratio(t: float) -> float:
-        rem = covariance_eval(model, t) - covariance_polynomial_part(model, t)
+        rem = covariance_eval(model, t) - _polynomial_part(model, t)
         return rem / (model.c * g_alpha(model.alpha, t))
 
     assert ratio(1e-3) == pytest.approx(1.0, abs=0.10)
@@ -175,9 +192,10 @@ def test_covariance_matrix_matches_elementwise_kernel(model):
 
 def test_simulation_exact_cap():
     m = CovarianceModel.powered_exponential(1.0, 1.0, 1.0)
-    pts = np.arange(30, dtype=float) + 0.0j
-    with pytest.raises(SimulationError):
-        simulate_isotropic(m, pts, 0, max_exact=10)
+    # one site over the cap is refused before any covariance is built
+    pts = np.arange(MAX_EXACT_SIM + 1, dtype=float) + 0.0j
+    with pytest.raises(SimulationError, match="exact-simulation cap"):
+        simulate_isotropic(m, pts, 0)
 
 
 def test_simulation_blocks_partition_and_determinism():

@@ -1,4 +1,4 @@
-"""Lattice containers, bilinear sampling, and the GRD1/CSV writers."""
+"""Lattice containers, bilinear sampling, and the GRD1 format."""
 
 import os
 
@@ -12,7 +12,6 @@ from deformfield.grids import (
     grid_sample,
     read_grd,
     write_grd,
-    write_grid_csv,
 )
 
 
@@ -110,17 +109,6 @@ def test_read_grd_rejects_garbage(tmp_path):
         fh.write(b"not a grid at all")
     with pytest.raises(Exception):
         read_grd(p)
-
-
-def test_grid_csv_layout(tmp_path):
-    g = Grid(2, 2, (0.0, 0.0), (1.0, 1.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    p = os.path.join(tmp_path, "g.csv")
-    write_grid_csv(g, p)
-    lines = open(p).read().strip().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 5
-    first = [float(v) for v in lines[1].split(",")]
-    assert first == [0.0, 0.0, 1.0]
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -14,8 +14,8 @@ from deformfield.config import (
     read_config,
     write_config,
 )
-from deformfield import pipeline
-from deformfield.errors import ConfigError
+from deformfield import flow
+from deformfield.errors import ConfigError, FlowError
 from deformfield.grids import read_grd, write_grd
 from deformfield.likelihood import _MAX_HALVINGS, _MAX_ITER
 from deformfield.pipeline import (
@@ -268,7 +268,6 @@ def test_reconstruct_meta_counts(tmp_path, monkeypatch):
         "blocks_missing": 0,
         "karcher_not_converged": 0,
         "karcher_sets": 9 + int(inside.sum()) ** 2,
-        "mu_star_clipped": 0,
         "points_extrapolated": 16 * 16 - int(inside.sum()) ** 2,
     }
     check = json.loads(blob)["flow_check"]
@@ -286,18 +285,22 @@ def test_reconstruct_meta_counts(tmp_path, monkeypatch):
         lines[k + 1] = lines[k + 1].rsplit(",", 1)[0] + ",missing"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    # the flow cannot integrate a dilatation at the real cap on this small
-    # lattice, so the cap is lowered until part of the field exceeds it
-    monkeypatch.setattr(pipeline, "MU_STAR_CAP", 0.25)
     planted, blob = _reconstruct_counts(cfg, out)
     assert _reconstruct_counts(cfg, out)[1] == blob
     assert planted["blocks_imputed"] == 1
     assert planted["blocks_missing"] == 4
     assert planted["points_extrapolated"] > counts["points_extrapolated"]
-    mu_star = read_grd(os.path.join(out, "mustar.grd")).values
-    assert planted["mu_star_clipped"] == int(np.sum(np.isclose(np.abs(mu_star), 0.25)))
-    assert 0 < planted["mu_star_clipped"] < mu_star.size
     assert planted["karcher_not_converged"] == 0
+
+    # the flow cannot integrate a dilatation at the real cap on this small
+    # lattice, so the cap is lowered until part of mu* exceeds it: the run
+    # stops with the count instead of clipping
+    monkeypatch.setattr(flow, "MU_STAR_CAP", 0.25)
+    with pytest.raises(FlowError) as caught:
+        stage_reconstruct(cfg, out)
+    over = int(np.sum(np.abs(read_grd(os.path.join(out, "mustar.grd")).values) > 0.25))
+    assert 0 < over < 16 * 16
+    assert str(caught.value).startswith(f"{over} of {16 * 16} flow-lattice points")
 
 
 def test_reconstruct_meta_harmonic_fit(tmp_path):

@@ -18,7 +18,6 @@ from deformfield.fields import (
 from deformfield.increments import increment_matrix
 from deformfield.likelihood import (
     MU_CAP,
-    AnisotropyParams,
     _alpha_nll,
     _fit_blocks,
     _lag_table,
@@ -27,7 +26,6 @@ from deformfield.likelihood import (
     _profiled_nll,
     _shared_blocks,
     DilatationScaleField,
-    aniso_g,
     estimate_alpha,
     estimate_field,
     partition_grid,
@@ -79,43 +77,19 @@ def test_partition_validation():
 
 
 # ---------------------------------------------------------------------------
-# Anisotropic kernel
-
-
-def test_aniso_g_reference_value():
-    # stretch |A| = phi / sqrt(1 - |mu|^2); mu = 0.5, phi = 1, z = 1
-    theta = AnisotropyParams(mu=0.5 + 0.0j, phi=1.0)
-    want = -((0.5 / np.sqrt(0.75)) ** 0.7)
-    assert aniso_g(theta, 0.7, 1.0 + 0.0j) == pytest.approx(want, rel=1e-12)
-    assert aniso_g(theta, 0.7, 1.0 + 0.0j) == pytest.approx(-0.6807812106484504, rel=1e-12)
-
-
-def test_aniso_g_isotropic_reduction():
-    theta = AnisotropyParams(mu=0.0 + 0.0j, phi=1.0)
-    z = np.array([0.5 + 0.5j, 1.0 + 0.0j])
-    from deformfield.fields import g_alpha
-
-    assert np.allclose(aniso_g(theta, 1.3, z), g_alpha(1.3, np.abs(z)))
-
-
-def test_aniso_params_validation():
-    with pytest.raises(ValueError):
-        AnisotropyParams(mu=1.0 + 0.0j, phi=1.0)
-    with pytest.raises(ValueError):
-        AnisotropyParams(mu=0.0 + 0.0j, phi=-1.0)
+# Search coordinates
 
 
 def test_mu_from_search_coordinates_stays_under_cap():
     # far-out search coordinates clip to the cap; the rescaled modulus must
-    # not round above it (AnisotropyParams would reject the fit), and a
-    # value the plain rescaling already kept under the cap stays bit-identical
+    # not round above it, and a value the plain rescaling already kept under
+    # the cap stays bit-identical
     clipped = 0
     for r in (8.0, 10.0, 20.0):
         for a in np.linspace(-np.pi, np.pi, 2001):
             x = np.array([r * np.cos(a), r * np.sin(a)])
             mu = _mu_from_x(x)
             assert MU_CAP - 1e-15 <= abs(mu) <= MU_CAP
-            AnisotropyParams(mu=mu, phi=1.0)
             plain = np.tanh(np.hypot(*x)) * np.exp(1j * np.arctan2(x[1], x[0]))
             plain *= MU_CAP / abs(plain)
             if abs(plain) <= MU_CAP:
@@ -179,19 +153,17 @@ def test_estimate_alpha_rejects_bad_bound():
 def test_fit_blocks_recovers_planted_anisotropy():
     # draw contrasts directly from the anisotropic model on one block geometry
     # and check the average estimate over 24 blocks sits near the truth.  The
-    # fitted kernel acts on observation offsets as d + mu*conj(d) (mu is the
-    # dilatation of the map carrying data coordinates back to isotropic ones)
-    # while aniso_g takes d - mu*conj(d), so the plant goes in with the
-    # opposite sign.
+    # kernel acts on observation offsets as G(|A| |d + mu conj(d)|) with
+    # stretch |A| = phi / sqrt(1 - |mu|^2), as in the estimator.
     alpha = 1.5
     mu_true = 0.3 + 0.0j
     phi_true = 0.9
     z = _lattice_sites(10, 0.01)
     z = z - z.mean()
     L = increment_matrix(z, 2)
-    theta_plant = AnisotropyParams(mu=-mu_true, phi=phi_true)
+    stretch = phi_true / np.sqrt(1.0 - abs(mu_true) ** 2)
     diff = z[:, None] - z[None, :]
-    sigma = L.rows @ aniso_g(theta_plant, alpha, diff).real @ L.rows.T
+    sigma = L.rows @ g_alpha(alpha, stretch * np.abs(diff + mu_true * np.conj(diff))) @ L.rows.T
     sigma = 0.5 * (sigma + sigma.T)
     chol = cholesky(sigma, lower=True)
     rng = np.random.default_rng(12)
