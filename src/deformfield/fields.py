@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg.lapack import dpotrf
 
 from .errors import OrientationError, SimulationError
 from .grids import ComplexGrid, Grid, grid_sample
@@ -196,29 +197,38 @@ class SampleField:
         return self.locations.size
 
 
-def _cholesky_or_none(mat: np.ndarray, scale: float) -> np.ndarray | None:
+def _cholesky_or_none(
+    mat: np.ndarray, scale: float, stats: dict | None = None
+) -> np.ndarray | None:
     """Lower Cholesky factor up the jitter ladder, or None if every step fails.
 
     scale sets the absolute size of the jitter steps (the variance, or the
-    mean diagonal of mat).
+    mean diagonal of mat).  Each rung is one LAPACK dpotrf on the
+    Fortran-ordered transpose, which for a symmetric mat is mat itself; the
+    factor comes back Fortran-ordered with its strict upper triangle zero.
+    A given stats dict counts the factors that needed a rung above 0
+    (jittered).
     """
     for jitter in JITTER_LADDER:
-        try:
-            if jitter == 0.0:
-                return np.linalg.cholesky(mat)
-            return np.linalg.cholesky(mat + jitter * scale * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
+        shifted = mat if jitter == 0.0 else mat + jitter * scale * np.eye(mat.shape[0])
+        factor, info = dpotrf(shifted.T, lower=1, clean=1)
+        if info == 0:
+            if jitter > 0.0 and stats is not None:
+                stats["jittered"] = stats.get("jittered", 0) + 1
+            return factor
     return None
 
 
-def cholesky_with_jitter(mat: np.ndarray, scale: float) -> np.ndarray:
+def cholesky_with_jitter(
+    mat: np.ndarray, scale: float, *, stats: dict | None = None
+) -> np.ndarray:
     """Lower Cholesky factor, retrying up the shared jitter ladder.
 
     scale sets the absolute size of the jitter steps (typically the
-    variance or the mean diagonal of mat).
+    variance or the mean diagonal of mat).  A given stats dict counts the
+    factors that needed a rung above 0 (jittered).
     """
-    factor = _cholesky_or_none(mat, scale)
+    factor = _cholesky_or_none(mat, scale, stats)
     if factor is not None:
         return factor
     eigs = np.linalg.eigvalsh(mat)
@@ -232,26 +242,43 @@ def cholesky_with_jitter(mat: np.ndarray, scale: float) -> np.ndarray:
 def _covariance_matrix(model: CovarianceModel, locations: np.ndarray) -> np.ndarray:
     """Dense covariance K(|z_i - z_j|) between complex locations.
 
-    The Matern-form families spend almost all their time in special.kv, so
-    they evaluate K once per distinct distance of the upper triangle and
-    mirror it; the entries are bit-identical to the elementwise matrix.
-    The exp kernel is cheaper than that sort and is evaluated directly.
+    K is evaluated on the upper triangle only, held row by row in one
+    buffer, and mirrored; the diagonal is K(0).  The Matern-form families
+    spend almost all their time in special.kv, so they evaluate K once per
+    distinct distance, found by one argsort.  Every entry is bit-identical
+    to covariance_eval on the full distance matrix.
     """
-    dist = np.abs(locations[:, None] - locations[None, :])
+    n = locations.size
+    upper = np.empty(n * (n - 1) // 2)  # the upper triangle row by row: distances, then K
+    at = 0
+    for i in range(n - 1):
+        np.abs(locations[i + 1 :] - locations[i], out=upper[at : at + n - 1 - i])
+        at += n - 1 - i
     if model.family == POWERED_EXPONENTIAL:
-        return covariance_eval(model, dist)
-    upper = np.triu(np.ones(dist.shape, dtype=bool), 1)
-    distinct, inverse = np.unique(dist[upper], return_inverse=True)
-    cov = np.zeros_like(dist)
-    cov[upper] = covariance_eval(model, distinct)[inverse]
-    cov += cov.T
+        upper = covariance_eval(model, upper)
+    else:
+        # sort, mark the first of each run of equal distances, evaluate K
+        # there and spread each value back over its run
+        order = np.argsort(upper)
+        ranked = upper[order]
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        distinct = ranked[first]
+        del ranked  # free buffers once used: at 20000 sites each one is 1.6 GB
+        runs = np.diff(np.flatnonzero(first), append=first.size)
+        upper[order] = np.repeat(covariance_eval(model, distinct), runs)
+        del order, first
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    cov = np.empty((n, n))
+    cov[mask] = upper
+    cov.T[mask] = upper
     np.fill_diagonal(cov, model.variance)  # K(0)
     return cov
 
 
-def _simulate_dense(model, locations, rng) -> np.ndarray:
+def _simulate_dense(model, locations, rng, stats) -> np.ndarray:
     cov = _covariance_matrix(model, locations)
-    factor = cholesky_with_jitter(cov, model.variance)
+    factor = cholesky_with_jitter(cov, model.variance, stats=stats)
     return factor @ rng.standard_normal(locations.size)
 
 
@@ -261,6 +288,7 @@ def simulate_isotropic(
     seed: int,
     *,
     blocks=None,
+    stats: dict | None = None,
 ) -> SampleField:
     """Draw one realization of the isotropic field at arbitrary locations.
 
@@ -272,7 +300,9 @@ def simulate_isotropic(
     per block so results do not depend on evaluation order.
 
     The generator is numpy's default PCG64, so output is reproducible
-    across platforms for a fixed seed.
+    across platforms for a fixed seed.  A given stats dict gets the number
+    of tiles whose factor needed jitter (jittered; an untiled draw is one
+    tile).
     """
     locations = np.asarray(locations, dtype=np.complex128).ravel()
     n = locations.size
@@ -285,10 +315,10 @@ def simulate_isotropic(
                 f"{n} locations exceed the exact-simulation cap {MAX_EXACT_SIM}; "
                 "pass blocks= for block-independent simulation"
             )
-        values = _simulate_dense(model, locations, np.random.default_rng(root))
+        values = _simulate_dense(model, locations, np.random.default_rng(root), stats)
     else:
         cover = np.concatenate([np.asarray(b).ravel() for b in blocks])
-        if np.sort(cover).tolist() != list(range(n)):
+        if not np.array_equal(np.sort(cover), np.arange(n)):
             raise ValueError("blocks must partition all location indices exactly")
         values = np.empty(n)
         for k, block in enumerate(blocks):
@@ -296,7 +326,7 @@ def simulate_isotropic(
             if idx.size > MAX_EXACT_SIM:
                 raise SimulationError(f"block {k} holds {idx.size} > {MAX_EXACT_SIM} locations")
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-            values[idx] = _simulate_dense(model, locations[idx], rng)
+            values[idx] = _simulate_dense(model, locations[idx], rng, stats)
     return SampleField(locations, values)
 
 

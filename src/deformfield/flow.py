@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 BOX_MARGIN = 0.10
 MU_STAR_CAP = 1.0 - 1e-3
+_DEEP = 4  # lattice steps from the edge where the flow check reads max_mu_gap_deep
 
 
 @dataclass
@@ -186,7 +187,10 @@ def reconstruct_map(
     measured from the final map by finite differences, so map and scale
     come from a single source.  A given stats dict gets the flow's check
     against its own target over the interior of the lattice: the smallest
-    det J (min_det_j) and the largest |mu(map) - mu_star| (max_mu_gap).
+    det J (min_det_j), the largest and the median |mu(map) - mu_star|
+    (max_mu_gap, median_mu_gap), and the largest gap over the sites at
+    least _DEEP = 4 steps from the edge (max_mu_gap_deep), so that a fault
+    inside the lattice is not hidden by the larger error next to its edge.
     """
     if steps < 1:
         raise ValueError("need at least one flow step")
@@ -206,7 +210,15 @@ def reconstruct_map(
     )
     mu_check, phi = numeric_dilatation(f_check, interior_only=True)
     if stats is not None:
-        inner = np.s_[1:-1, 1:-1] if min(mu_star.nx, mu_star.ny) > 2 else np.s_[:, :]
-        stats["min_det_j"] = float(np.min(phi.values[inner] ** 2))
-        stats["max_mu_gap"] = float(np.max(np.abs(mu_check.values - mu_star.values)[inner]))
+        gap = np.abs(mu_check.values - mu_star.values)
+        stats["min_det_j"] = float(np.min(_inset(phi.values, 1) ** 2))
+        stats["max_mu_gap"] = float(np.max(_inset(gap, 1)))
+        stats["median_mu_gap"] = float(np.median(_inset(gap, 1)))
+        stats["max_mu_gap_deep"] = float(np.max(_inset(gap, _DEEP)))
     return f_check, phi
+
+
+def _inset(values: np.ndarray, depth: int) -> np.ndarray:
+    """The sites at least depth from the lattice edge, or the innermost ones."""
+    depth = min(depth, (min(values.shape) - 1) // 2)
+    return values[depth : values.shape[0] - depth, depth : values.shape[1] - depth]

@@ -150,7 +150,8 @@ def estimate_alpha(
     alpha.  The blocks must be translates of one another, as partition_grid
     makes them, so the kernel matrix and its factorization are computed
     once per candidate.  A given stats dict gets the number of candidates
-    scored (alpha_evals).
+    scored (alpha_evals) and of those whose likelihood was +inf
+    (alpha_infeasible).
     """
     if alpha_max <= ALPHA_FLOOR:
         raise ValueError("alpha_max must exceed the search floor 0.05")
@@ -159,8 +160,11 @@ def estimate_alpha(
     dist = np.abs(rel[:, None] - rel[None, :])
     ystack = np.column_stack([rows @ v for v in values])
 
+    scores = []
+
     def total(alpha: float) -> float:
-        return _alpha_nll(alpha, dist, rows, ystack)
+        scores.append(_alpha_nll(alpha, dist, rows, ystack))
+        return scores[-1]
 
     lo, hi = ALPHA_FLOOR, float(alpha_max)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -168,7 +172,6 @@ def estimate_alpha(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = total(c), total(d)
-    n_evals = 2
     while b - a > _ALPHA_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -178,9 +181,11 @@ def estimate_alpha(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = total(d)
-        n_evals += 1
     if stats is not None:
-        stats["alpha_evals"] = stats.get("alpha_evals", 0) + n_evals
+        stats["alpha_evals"] = stats.get("alpha_evals", 0) + len(scores)
+        stats["alpha_infeasible"] = stats.get("alpha_infeasible", 0) + int(
+            np.sum(np.isposinf(scores))
+        )
     alpha_hat = 0.5 * (a + b)
     if not np.isfinite(min(fc, fd)):
         raise EstimationError("alpha likelihood was infeasible over the whole range")

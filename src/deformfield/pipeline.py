@@ -85,7 +85,8 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
         log.info("simulating %d independent tiles of side %d", len(blocks), cfg.sim_block)
     sites = lattice.locations()
     latent = apply_deformation(deform, sites)
-    sample = simulate_isotropic(model, latent, cfg.seed, blocks=blocks)
+    stats: dict = {}
+    sample = simulate_isotropic(model, latent, cfg.seed, blocks=blocks, stats=stats)
     sample = add_noise(sample, cfg.noise_fraction, cfg.seed)
     grid = lattice.with_values(sample.values.reshape(nx, ny))
     write_grd(grid, os.path.join(out_dir, "field.grd"))
@@ -97,6 +98,8 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
             "seed": cfg.seed,
             "noise_fraction": cfg.noise_fraction,
             "sim_tiles": 0 if blocks is None else len(blocks),
+            # deterministic counts only: reruns must stay byte-identical
+            "counts": {"tiles_jittered": stats.get("jittered", 0)},
         },
     )
     return grid
@@ -131,6 +134,7 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
                 "nll_evals": stats.get("nll_evals", 0),
                 "fits_at_maxiter": stats.get("fits_at_maxiter", 0),
                 "alpha_evals": stats["alpha_evals"],
+                "alpha_infeasible": stats["alpha_infeasible"],
             },
         },
     )
@@ -202,6 +206,8 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
             "flow_check": {
                 "min_det_j": stats["min_det_j"],
                 "max_mu_gap": stats["max_mu_gap"],
+                "max_mu_gap_deep": stats["max_mu_gap_deep"],
+                "median_mu_gap": stats["median_mu_gap"],
             },
             # the log-scale fit of the conformal correction
             "harmonic_fit": {

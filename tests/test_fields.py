@@ -14,6 +14,7 @@ from deformfield.fields import (
     _covariance_matrix,
     add_noise,
     apply_deformation,
+    cholesky_with_jitter,
     covariance_eval,
     empirical_variogram,
     g_alpha,
@@ -188,6 +189,61 @@ def test_covariance_matrix_matches_elementwise_kernel(model):
     for sites in (lattice, bent):
         dist = np.abs(sites[:, None] - sites[None, :])
         assert np.array_equal(_covariance_matrix(model, sites), covariance_eval(model, dist))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0),
+        CovarianceModel.matern(1.0, 0.4, 0.85),
+        CovarianceModel.powered_exponential(1.0, 0.3, 1.0),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_draws_every_family(model, n):
+    # tiles with no off-diagonal pair, one pair, and three pairs
+    sites = np.array([0.1 + 0.2j, 0.4 + 0.2j, 0.1 + 0.7j])[:n]
+    dist = np.abs(sites[:, None] - sites[None, :])
+    cov = _covariance_matrix(model, sites)
+    assert cov.shape == (n, n)
+    for i in range(n):
+        for j in range(n):
+            assert cov[i, j] == covariance_eval(model, dist[i, j])
+    draw = simulate_isotropic(model, sites, 5)
+    assert draw.values.shape == (n,) and np.all(np.isfinite(draw.values))
+
+
+def test_cholesky_factor_contract():
+    # a 20 x 10 lattice bent by the rotational map: 200 sites
+    lattice = (np.arange(20)[:, None] / 19.0 + 1j * np.arange(10)[None, :] / 9.0).ravel()
+    sites = apply_deformation(DeformationSpec.rotational(), lattice)
+    cov = _covariance_matrix(CovarianceModel.matern(1.0, 0.4, 0.85), sites)
+    stats = {}
+    factor = cholesky_with_jitter(cov, 1.0, stats=stats)
+    assert stats == {}  # no jitter, so L L' is the matrix itself
+    assert np.all(np.triu(factor, 1) == 0.0)
+    assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def test_simulation_counts_jittered_tiles():
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
+    pts = np.linspace(0, 1, 8) + 0.5j
+    stats = {}
+    simulate_isotropic(m, pts, 0, stats=stats)
+    assert stats.get("jittered", 0) == 0
+    # a repeated site makes the covariance singular: rung 0 fails, 1e-12 passes
+    twice = np.append(pts, pts[3])
+    stats = {}
+    draw = simulate_isotropic(m, twice, 0, stats=stats)
+    assert stats["jittered"] == 1
+    assert draw.values[3] == pytest.approx(draw.values[-1], abs=1e-5)
+    # one count per tile whose factor needed jitter: the repeated site 3 and
+    # its copy 8 in different tiles, then in the same tile
+    stats = {}
+    simulate_isotropic(m, twice, 0, blocks=[np.arange(5), np.arange(5, 9)], stats=stats)
+    assert stats.get("jittered", 0) == 0
+    simulate_isotropic(m, twice, 0, blocks=[[0, 1, 2, 4, 5, 6, 7], [3, 8]], stats=stats)
+    assert stats["jittered"] == 1
 
 
 def test_simulation_exact_cap():

@@ -226,7 +226,7 @@ def test_reconstruct_self_check_reacts_to_planted_spike():
     mu = _const_mu(n, 0.2 + 0.1j, spacing=1.0 / 16)
     smooth = {}
     _, phi = reconstruct_map(mu, steps=5, stats=smooth)
-    assert set(smooth) == {"min_det_j", "max_mu_gap"}
+    assert set(smooth) == {"min_det_j", "max_mu_gap", "median_mu_gap", "max_mu_gap_deep"}
     assert smooth["min_det_j"] == pytest.approx(np.min(phi.values[1:-1, 1:-1] ** 2))
     assert 0.0 < smooth["max_mu_gap"] < 0.05
     # one site's target the flow cannot follow: the gap at that site grows
@@ -236,3 +236,22 @@ def test_reconstruct_self_check_reacts_to_planted_spike():
     reconstruct_map(mu.with_values(spiked_vals), steps=5, stats=spiked)
     assert spiked["max_mu_gap"] > 0.3
     assert spiked["max_mu_gap"] > 5 * smooth["max_mu_gap"]
+
+
+def test_reconstruct_deep_gap_reacts_to_interior_spike_only():
+    mu = _const_mu(17, 0.2 + 0.1j, spacing=1.0 / 16)
+    smooth = {}
+    reconstruct_map(mu, steps=5, stats=smooth)
+    # on a smooth target the largest gap sits next to the edge
+    assert smooth["max_mu_gap_deep"] < 0.5 * smooth["max_mu_gap"]
+    assert 0.0 < smooth["median_mu_gap"] < smooth["max_mu_gap"]
+    for depth, deep in ((4, True), (1, False)):
+        vals = mu.values.copy()
+        vals[depth, 8] = -0.5
+        spiked = {}
+        reconstruct_map(mu.with_values(vals), steps=5, stats=spiked)
+        assert spiked["max_mu_gap"] > 0.3
+        if deep:  # a spike 4 sites in shows in the deep gap
+            assert spiked["max_mu_gap_deep"] > 0.3
+        else:  # one on the first interior ring does not reach it
+            assert spiked["max_mu_gap_deep"] < 2.0 * smooth["max_mu_gap_deep"]

@@ -195,12 +195,14 @@ def test_pipeline_reruns_are_deterministic(tmp_path):
     out_b = str(tmp_path / "b")
     run_pipeline(cfg, out_a)
     run_pipeline(cfg, out_b)
-    for name in ("field.grd", "fhat.grd", "report.csv"):
+    for name in ("field.grd", "field_meta.json", "fhat.grd", "report.csv"):
         with open(os.path.join(out_a, name), "rb") as fh:
             blob_a = fh.read()
         with open(os.path.join(out_b, name), "rb") as fh:
             blob_b = fh.read()
         assert blob_a == blob_b, name
+    with open(os.path.join(out_a, "field_meta.json")) as fh:
+        assert json.load(fh)["counts"] == {"tiles_jittered": 0}
 
 
 def _estimate_counts(cfg, out):
@@ -217,7 +219,8 @@ def test_estimate_meta_counts_repeat(tmp_path):
     counts, blob = _estimate_counts(cfg, out)
     assert _estimate_counts(cfg, out)[1] == blob  # reruns are byte-identical
     assert set(counts) == {
-        "blocks_ok", "blocks_missing", "nll_evals", "fits_at_maxiter", "alpha_evals"
+        "blocks_ok", "blocks_missing", "nll_evals", "fits_at_maxiter", "alpha_evals",
+        "alpha_infeasible",
     }
     assert counts["blocks_ok"] == 9 and counts["blocks_missing"] == 0
     # one Newton search per block: the start, then per iteration an 8-point
@@ -227,6 +230,7 @@ def test_estimate_meta_counts_repeat(tmp_path):
     )
     assert 0 <= counts["fits_at_maxiter"] <= 9
     assert counts["alpha_evals"] >= 2
+    assert counts["alpha_infeasible"] == 0
 
 
 def test_estimate_meta_counts_react_to_degenerate_block(tmp_path):
@@ -271,8 +275,10 @@ def test_reconstruct_meta_counts(tmp_path, monkeypatch):
         "points_extrapolated": 16 * 16 - int(inside.sum()) ** 2,
     }
     check = json.loads(blob)["flow_check"]
-    assert set(check) == {"min_det_j", "max_mu_gap"}
+    assert set(check) == {"min_det_j", "max_mu_gap", "max_mu_gap_deep", "median_mu_gap"}
     assert check["min_det_j"] > 0.0 and 0.0 < check["max_mu_gap"] < 0.2
+    assert 0.0 < check["median_mu_gap"] <= check["max_mu_gap"]
+    assert 0.0 < check["max_mu_gap_deep"] <= check["max_mu_gap"]
 
     # plant faults: block 0 goes missing and is imputed from its 2 x 2
     # window; blocks 4, 5, 7 and 8 hold each other's whole windows, so they

@@ -5,6 +5,7 @@ import pytest
 from scipy import optimize
 from scipy.linalg import cholesky, solve_triangular
 
+from deformfield import likelihood
 from deformfield.fields import (
     CovarianceModel,
     _cholesky_or_none,
@@ -136,6 +137,25 @@ def test_estimate_alpha_on_smooth_field():
     part = partition_grid(60, 60, 10, spacing=(0.01, 0.01))
     a_hat = estimate_alpha(data, part)
     assert 2.7 <= a_hat <= 3.3
+
+
+def test_estimate_alpha_counts_infeasible_candidates(monkeypatch):
+    model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
+    data = _simulated_field(30, model, seed=0)
+    part = partition_grid(30, 30, 10, spacing=(0.01, 0.01))
+    real = {}
+    estimate_alpha(data, part, alpha_max=2.0, stats=real)
+    assert real["alpha_infeasible"] == 0
+    # an objective that cannot be factorized below alpha = 1
+    nll = likelihood._alpha_nll
+    monkeypatch.setattr(
+        likelihood, "_alpha_nll", lambda alpha, *rest: np.inf if alpha < 1.0 else nll(alpha, *rest)
+    )
+    planted = {}
+    a_hat = estimate_alpha(data, part, alpha_max=2.0, stats=planted)
+    assert 0 < planted["alpha_infeasible"] < planted["alpha_evals"]
+    assert planted["alpha_evals"] == real["alpha_evals"]  # the bracket shrinks the same way
+    assert a_hat >= 1.0 - 1e-3  # the midpoint of the final bracket
 
 
 def test_estimate_alpha_rejects_bad_bound():
