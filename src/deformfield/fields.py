@@ -29,8 +29,8 @@ POWERED_EXPONENTIAL = "powered-exponential"
 MATERN = "matern"
 POLY_FRACTIONAL = "polynomial-plus-fractional"
 
-#: Jitter ladder applied to covariance factorizations, as multiples of the
-#: variance scale.  Shared by simulation and likelihood code.
+#: Jitter ladder of simulation's covariance factorizations, as multiples of
+#: the covariance's largest diagonal entry (the variance).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 #: Most locations drawn by one dense factorization; the pipeline refuses
@@ -197,44 +197,37 @@ class SampleField:
         return self.locations.size
 
 
-def _cholesky_or_none(
-    mat: np.ndarray, scale: float, stats: dict | None = None
-) -> np.ndarray | None:
-    """Lower Cholesky factor up the jitter ladder, or None if every step fails.
+def cholesky_with_jitter(mat: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric C-ordered mat, computed in place.
 
-    scale sets the absolute size of the jitter steps (the variance, or the
-    mean diagonal of mat).  Each rung is one LAPACK dpotrf on the
-    Fortran-ordered transpose, which for a symmetric mat is mat itself; the
-    factor comes back Fortran-ordered with its strict upper triangle zero.
-    A given stats dict counts the factors that needed a rung above 0
-    (jittered).
-    """
-    for jitter in JITTER_LADDER:
-        shifted = mat if jitter == 0.0 else mat + jitter * scale * np.eye(mat.shape[0])
-        factor, info = dpotrf(shifted.T, lower=1, clean=1)
-        if info == 0:
-            if jitter > 0.0 and stats is not None:
-                stats["jittered"] = stats.get("jittered", 0) + 1
-            return factor
-    return None
-
-
-def cholesky_with_jitter(
-    mat: np.ndarray, scale: float, *, stats: dict | None = None
-) -> np.ndarray:
-    """Lower Cholesky factor, retrying up the shared jitter ladder.
-
-    scale sets the absolute size of the jitter steps (typically the
-    variance or the mean diagonal of mat).  A given stats dict counts the
+    Each rung of JITTER_LADDER, in multiples of mat's largest diagonal
+    entry, is one LAPACK dpotrf on the Fortran-ordered transpose, which for
+    a symmetric mat is mat itself.  dpotrf writes only the upper triangle of
+    mat, so a failed rung is undone from the strict lower triangle and the
+    saved diagonal.  The factor shares mat's memory and is Fortran-ordered
+    with its strict upper triangle zero.  A given stats dict counts the
     factors that needed a rung above 0 (jittered).
     """
-    factor = _cholesky_or_none(mat, scale, stats)
-    if factor is not None:
-        return factor
+    n = mat.shape[0]
+    diag = mat.diagonal().copy()
+    top = float(diag.max())
+    for rung, jitter in enumerate(JITTER_LADDER):
+        np.fill_diagonal(mat, diag + jitter * top)
+        factor, info = dpotrf(mat.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            # row by row: np.tril_indices would allocate n^2 index entries
+            for i in range(1, n):
+                mat[i, :i] = 0.0
+            if rung and stats is not None:
+                stats["jittered"] = stats.get("jittered", 0) + 1
+            return factor
+        for i in range(n - 1):
+            mat[i, i + 1 :] = mat[i + 1 :, i]
+    np.fill_diagonal(mat, diag)
     eigs = np.linalg.eigvalsh(mat)
     raise SimulationError(
-        f"covariance factorization failed for a {mat.shape[0]}x{mat.shape[0]} matrix "
-        f"even with jitter {JITTER_LADDER[-1] * scale:g}; "
+        f"covariance factorization failed for a {n}x{n} matrix "
+        f"even with jitter {JITTER_LADDER[-1] * top:g}; "
         f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
     )
 
@@ -278,7 +271,7 @@ def _covariance_matrix(model: CovarianceModel, locations: np.ndarray) -> np.ndar
 
 def _simulate_dense(model, locations, rng, stats) -> np.ndarray:
     cov = _covariance_matrix(model, locations)
-    factor = cholesky_with_jitter(cov, model.variance, stats=stats)
+    factor = cholesky_with_jitter(cov, stats=stats)
     return factor @ rng.standard_normal(locations.size)
 
 

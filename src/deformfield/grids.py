@@ -157,4 +157,7 @@ def read_grd(path: str) -> Grid:
     dtype = "<c16" if kind else "<f8"
     values = np.frombuffer(body, dtype=dtype).reshape(nx, ny)
     cls = ComplexGrid if kind else Grid
-    return cls(nx, ny, (x0, y0), (dx, dy), values.copy())
+    try:
+        return cls(nx, ny, (x0, y0), (dx, dy), values.copy())
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: {exc}") from None

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import optimize  # noqa: F401  (perfbench/tracer.py patches optimize.minimize)
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import ArtifactError, EstimationError
-from .fields import SampleField, _cholesky_or_none, g_alpha
+from .fields import SampleField, g_alpha
 from .grids import atomic_write_text
 from .increments import increment_matrix
 
@@ -123,14 +122,14 @@ def _alpha_nll(alpha: float, dist: np.ndarray, rows: np.ndarray, ytilde: np.ndar
     0.5 log|Sigma| + 0.5 Ytilde' Sigma^-1 Ytilde summed over the columns of
     ytilde (one block each), with Sigma = L G_alpha(dist) L' for contrast
     rows L and the pairwise distances dist of the shared sites.  Returns
-    +inf when Sigma cannot be factorized even with jitter.
+    +inf when LAPACK cannot factorize Sigma.
     """
     sigma = rows @ g_alpha(alpha, dist) @ rows.T
     sigma = 0.5 * (sigma + sigma.T)
-    factor = _cholesky_or_none(sigma, float(np.mean(np.diag(sigma))) or 1.0)
-    if factor is None:
+    factor, info = dpotrf(sigma.T, lower=1, clean=0, overwrite_a=1)
+    if info:
         return np.inf
-    w = solve_triangular(factor, ytilde, lower=True)
+    w = dtrtrs(factor, ytilde, lower=1)[0]
     return ytilde.shape[1] * float(np.sum(np.log(np.diag(factor)))) + 0.5 * float(
         np.sum(w * w)
     )
@@ -302,7 +301,7 @@ def _profiled_nll(
     """Profiled negative log likelihood and scale at search points x.
 
     Row i scores point x[i] on the contrasts ytilde[which[i]].  The value
-    is +inf where Sigma_1 cannot be factorized even with jitter.
+    is +inf where LAPACK cannot factorize Sigma_1.
     """
     m = ytilde.shape[1]
     nll = np.full(len(which), np.inf)
@@ -323,24 +322,14 @@ def _profiled_nll(
             slabs[:, j, j:] = upper[:, at : at + m - j]
             at += m - j
         diag = np.ones((upper.shape[0], m))
-        w = np.zeros((upper.shape[0], m))
-        factored = np.ones(upper.shape[0], dtype=bool)
+        w = np.zeros((upper.shape[0], m))  # a row LAPACK refuses keeps w = 0 and scores +inf
         for r, k in enumerate(which[part]):
             factor, info = dpotrf(slabs[r].T, lower=1, clean=0, overwrite_a=1)
             if info == 0:
                 w[r] = dtrtrs(factor, ytilde[k], lower=1)[0]
-            else:
-                sigma = np.zeros((m, m))
-                sigma[np.triu_indices(m)] = upper[r]
-                sigma += np.triu(sigma, 1).T
-                factor = _cholesky_or_none(sigma, float(np.mean(np.diag(sigma))) or 1.0)
-                if factor is None:
-                    factored[r] = False
-                    continue
-                w[r] = solve_triangular(factor, ytilde[k], lower=True)
-            diag[r] = np.diagonal(factor)
+                diag[r] = np.diagonal(factor)
         quad = np.sum(w * w, axis=1)
-        ok = factored & (quad > 0)
+        ok = quad > 0
         s_hat[start + np.flatnonzero(ok)] = s = quad[ok] / m
         nll[start + np.flatnonzero(ok)] = (
             np.sum(np.log(diag[ok]), axis=1) + 0.5 * m * np.log(s) + 0.5 * m
@@ -494,9 +483,21 @@ class DilatationScaleField:
             if len(row) != 7:
                 raise ArtifactError(f"{path}: line {number} has {len(row)} fields, expected 7")
             try:
-                rows.append([float(v) for v in row[:6]] + row[6:])
+                values = [float(v) for v in row[:6]]
             except ValueError as exc:
                 raise ArtifactError(f"{path}: line {number}: {exc}") from None
+            if row[6] not in (STATUS_OK, STATUS_MISSING, STATUS_IMPUTED):
+                raise ArtifactError(f"{path}: line {number}: unknown status {row[6]!r}")
+            if row[6] != STATUS_MISSING and not (
+                np.all(np.isfinite(values[:5]))
+                and abs(complex(values[2], values[3])) < 1
+                and values[4] > 0
+            ):
+                raise ArtifactError(
+                    f"{path}: line {number}: a block with status {row[6]} needs "
+                    "a finite center, |mu| < 1 and phi > 0"
+                )
+            rows.append(values + row[6:])
         centers = np.array([r[0] + 1j * r[1] for r in rows])
         mu = np.array([r[2] + 1j * r[3] for r in rows])
         phi = np.array([r[4] for r in rows])

@@ -69,6 +69,15 @@ def _read_meta(path: str, cfg: PipelineConfig, force: bool) -> dict:
     return meta
 
 
+def _read_grid(out_dir: str, name: str, complex_values: bool) -> Grid:
+    """The grid artifact out_dir/name, which must hold complex (or real) values."""
+    path = os.path.join(out_dir, name)
+    grid = read_grd(path)
+    if isinstance(grid, ComplexGrid) != complex_values:
+        raise ArtifactError(f"{path}: expected {'complex' if complex_values else 'real'} values")
+    return grid
+
+
 def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
     """Draw one deformed-field realization on the observation lattice."""
     cfg.validate()
@@ -109,7 +118,7 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     """Estimate the fractal index and blockwise dilatation/scale field."""
     cfg.validate()
     _read_meta(os.path.join(out_dir, "field_meta.json"), cfg, force)
-    grid = read_grd(os.path.join(out_dir, "field.grd"))
+    grid = _read_grid(out_dir, "field.grd", complex_values=False)
     data = SampleField(grid.locations(), grid.values.ravel())
     partition = partition_grid(
         grid.nx, grid.ny, cfg.block, origin=grid.origin, spacing=grid.spacing
@@ -141,6 +150,11 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     return est
 
 
+def _positive(value, kinds) -> bool:
+    """Whether a JSON value is a finite positive number of the given types."""
+    return not isinstance(value, bool) and isinstance(value, kinds) and 0 < value < np.inf
+
+
 def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> DilatationScaleField:
     path = os.path.join(out_dir, "estimates_meta.json")
     meta = _read_meta(path, cfg, force)
@@ -151,6 +165,13 @@ def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> Dilatatio
     for key in ("nbx", "nby", "block", "spacing"):
         if not isinstance(geometry, dict) or key not in geometry:
             raise ArtifactError(f"{path}: key 'geometry.{key}' is missing")
+    for key in ("nbx", "nby", "block"):
+        if not _positive(geometry[key], int):
+            raise ArtifactError(f"{path}: key 'geometry.{key}' is not a positive integer")
+    spacing = geometry["spacing"]
+    pair = isinstance(spacing, list) and len(spacing) == 2
+    if not pair or not all(_positive(v, (int, float)) for v in spacing):
+        raise ArtifactError(f"{path}: key 'geometry.spacing' is not a pair of positive numbers")
     csv = os.path.join(out_dir, "estimates.csv")
     est = DilatationScaleField.from_csv(csv, alpha_used=float(alpha), geometry=geometry)
     nbx, nby = geometry["nbx"], geometry["nby"]
@@ -247,9 +268,8 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> di
     """Distances to the true deformation plus an isotropy diagnostic."""
     cfg.validate()
     meta = _read_meta(os.path.join(out_dir, "reconstruct_meta.json"), cfg, force)
-    f_hat = read_grd(os.path.join(out_dir, "fhat.grd"))
-    if not isinstance(f_hat, ComplexGrid):
-        raise ConfigError("fhat.grd does not hold a complex map")
+    f_hat = _read_grid(out_dir, "fhat.grd", complex_values=True)
+    field_grid = _read_grid(out_dir, "field.grd", complex_values=False)
     truth = cfg.build_deformation()
     d1 = distance_d1(f_hat, truth, sample_count=cfg.d1_samples, seed=cfg.seed)
     mu_grid, _ = numeric_dilatation(f_hat, interior_only=True)
@@ -260,7 +280,6 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> di
         lines.append(f"{name},{metrics[name]!r},{cfg.config_hash()}")
     atomic_write_text(os.path.join(out_dir, "report.csv"), "\n".join(lines) + "\n")
 
-    field_grid = read_grd(os.path.join(out_dir, "field.grd"))
     rows = _isotropy_table(field_grid, f_hat, cfg.seed)
     iso_lines = ["distance,mean_sq_increment,count"]
     iso_lines += [f"{float(d)!r},{float(v)!r},{int(n)}" for d, v, n in rows]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from deformfield.cli import main
 from deformfield.config import PipelineConfig, read_config, write_config
+from deformfield.grids import ComplexGrid, Grid, read_grd, write_grd
 
 
 def _mini_cfg_file(path, **overrides):
@@ -108,33 +110,95 @@ def test_estimate_before_simulate_exits_two(tmp_path, capsys):
     assert "missing upstream" in capsys.readouterr().err
 
 
-def test_truncated_field_exits_four(tmp_path, capsys):
+def _with_nan_value(blob):
+    # the GRD1 header is 45 bytes; the first value follows it
+    return blob[:45] + struct.pack("<d", float("nan")) + blob[53:]
+
+
+def _with_zero_spacing(blob):
+    # dx sits after the magic, the kind, nx, ny, x0 and y0
+    return blob[:29] + struct.pack("<d", 0.0) + blob[37:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob: blob[: len(blob) // 2], "value block holds"),
+        (_with_nan_value, "grid values must be finite"),
+        (_with_zero_spacing, "grid spacing must be positive"),
+    ],
+    ids=["cut-off", "nan-value", "zero-spacing"],
+)
+def test_truncated_field_exits_four(tmp_path, capsys, corrupt, message):
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"
     _mini_cfg_file(path, out_dir=str(out))
     assert main(["simulate", "--config", str(path)]) == 0
-    blob = (out / "field.grd").read_bytes()
-    (out / "field.grd").write_bytes(blob[: len(blob) // 2])
+    (out / "field.grd").write_bytes(corrupt((out / "field.grd").read_bytes()))
     capsys.readouterr()
     assert main(["estimate", "--config", str(path)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("i/o failure: ") and "field.grd" in err and err.count("\n") == 1
+    assert err.startswith("i/o failure: ") and "field.grd: " in err and message in err
+    assert err.count("\n") == 1
 
 
-def test_short_estimates_row_exits_four(tmp_path, capsys):
+def _with_cells(line, **cells):
+    columns = ["cx", "cy", "mu_re", "mu_im", "phi", "loglik", "status"]
+    row = line.split(",")
+    for name, value in cells.items():
+        row[columns.index(name)] = value
+    return ",".join(row)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda line: line.rsplit(",", 3)[0], "has 4 fields"),  # loses phi, loglik, status
+        (lambda line: _with_cells(line, mu_re="1.5"), "|mu| < 1"),
+        (lambda line: _with_cells(line, mu_re="nan"), "|mu| < 1"),
+        (lambda line: _with_cells(line, status="bogus"), "unknown status 'bogus'"),
+    ],
+    ids=["short-row", "mu-over-one", "mu-nan", "unknown-status"],
+)
+def test_short_estimates_row_exits_four(tmp_path, capsys, corrupt, message):
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"
     _mini_cfg_file(path, out_dir=str(out))
     assert main(["simulate", "--config", str(path)]) == 0
     assert main(["estimate", "--config", str(path)]) == 0
     lines = (out / "estimates.csv").read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 3)[0]  # the second block loses phi, loglik and status
+    assert lines[2].endswith(",ok")
+    lines[2] = corrupt(lines[2])  # the second block
     (out / "estimates.csv").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["reconstruct", "--config", str(path)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("i/o failure: ") and "estimates.csv: line 3" in err
+    assert err.startswith("i/o failure: ") and "estimates.csv: line 3" in err and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, stages",
+    [("field.grd", ["estimate", "evaluate"]), ("fhat.grd", ["evaluate"])],
+    ids=["complex-field", "real-map"],
+)
+def test_wrong_grid_kind_exits_four(tmp_path, capsys, name, stages):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["pipeline", "--config", str(path)]) == 0
+    grid = read_grd(str(out / name))
+    if isinstance(grid, ComplexGrid):
+        flipped = Grid(grid.nx, grid.ny, grid.origin, grid.spacing, grid.values.real)
+    else:
+        flipped = ComplexGrid(grid.nx, grid.ny, grid.origin, grid.spacing, grid.values)
+    write_grd(flipped, str(out / name))
+    for stage in stages:
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ") and f"{name}: expected" in err
+        assert err.count("\n") == 1
 
 
 def test_missing_estimates_row_exits_four(tmp_path, capsys):
@@ -180,8 +244,12 @@ def test_truncated_meta_exits_four(tmp_path, capsys, corrupt, message):
         (lambda meta: meta.update(alpha="n/a"), "key 'alpha' is missing or not a number"),
         (lambda meta: meta["geometry"].pop("nbx"), "key 'geometry.nbx' is missing"),
         (lambda meta: meta["geometry"].pop("spacing"), "key 'geometry.spacing' is missing"),
+        (
+            lambda meta: meta["geometry"].update(spacing=0.01),
+            "key 'geometry.spacing' is not a pair of positive numbers",
+        ),
     ],
-    ids=["no-alpha", "alpha-not-a-number", "no-nbx", "no-spacing"],
+    ids=["no-alpha", "alpha-not-a-number", "no-nbx", "no-spacing", "spacing-not-a-pair"],
 )
 def test_incomplete_estimates_meta_exits_four(tmp_path, capsys, corrupt, message):
     path = tmp_path / "run.cfg"

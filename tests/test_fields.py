@@ -1,8 +1,11 @@
 """Covariance families, simulation, deformations, and variograms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg.lapack import dpotrf
 
 from deformfield.errors import OrientationError, SimulationError
 from deformfield.fields import (
@@ -218,11 +221,37 @@ def test_cholesky_factor_contract():
     lattice = (np.arange(20)[:, None] / 19.0 + 1j * np.arange(10)[None, :] / 9.0).ravel()
     sites = apply_deformation(DeformationSpec.rotational(), lattice)
     cov = _covariance_matrix(CovarianceModel.matern(1.0, 0.4, 0.85), sites)
+    before = cov.copy()
     stats = {}
-    factor = cholesky_with_jitter(cov, 1.0, stats=stats)
+    factor = cholesky_with_jitter(cov, stats=stats)
+    assert np.shares_memory(factor, cov)  # factored in place
     assert stats == {}  # no jitter, so L L' is the matrix itself
     assert np.all(np.triu(factor, 1) == 0.0)
-    assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+    assert np.max(np.abs(factor @ factor.T - before)) <= 1e-12 * np.max(np.abs(before))
+
+
+def test_cholesky_allocates_no_copy_of_the_tile():
+    sites = np.linspace(0.0, 1.0, 1000) + 0.0j
+    cov = _covariance_matrix(CovarianceModel.powered_exponential(1.0, 0.3, 1.0), sites)
+    tracemalloc.start()
+    try:
+        cholesky_with_jitter(cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * cov.nbytes
+
+
+def test_cholesky_failure_reports_the_original_spectrum():
+    # eigenvalues -2, 1 and 10: no jitter rung reaches -2, and the first
+    # rung's failed factor overwrites the 6 above the diagonal with 3
+    mat = np.array([[4.0, 6.0, 0.0], [6.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    eigs = np.linalg.eigvalsh(mat)
+    work = mat.copy()
+    with pytest.raises(SimulationError) as err:
+        cholesky_with_jitter(work)
+    assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
+    assert np.array_equal(work, mat)  # every failed rung was undone
 
 
 def test_simulation_counts_jittered_tiles():
@@ -233,6 +262,14 @@ def test_simulation_counts_jittered_tiles():
     assert stats.get("jittered", 0) == 0
     # a repeated site makes the covariance singular: rung 0 fails, 1e-12 passes
     twice = np.append(pts, pts[3])
+    cov = _covariance_matrix(m, twice)
+    shifted = cov + 1e-12 * np.max(np.diag(cov)) * np.eye(twice.size)
+    assert dpotrf(cov, lower=1)[1] != 0
+    expected, info = dpotrf(shifted, lower=1)
+    assert info == 0
+    stats = {}
+    assert np.array_equal(cholesky_with_jitter(cov, stats=stats), expected)
+    assert stats["jittered"] == 1
     stats = {}
     draw = simulate_isotropic(m, twice, 0, stats=stats)
     assert stats["jittered"] == 1

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from deformfield.errors import ArtifactError
 from deformfield.grids import (
     ComplexGrid,
     Grid,
@@ -107,7 +108,7 @@ def test_read_grd_rejects_garbage(tmp_path):
     p = os.path.join(tmp_path, "bad.grd")
     with open(p, "wb") as fh:
         fh.write(b"not a grid at all")
-    with pytest.raises(Exception):
+    with pytest.raises(ArtifactError):
         read_grd(p)
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from deformfield import likelihood
 from deformfield.fields import (
     CovarianceModel,
-    _cholesky_or_none,
     DeformationSpec,
     SampleField,
     apply_deformation,
@@ -329,7 +329,7 @@ def test_lag_table_objective_matches_sandwich_formula(alpha):
 
 def test_lag_table_objective_is_inf_where_no_factor_exists():
     # degree-1 contrasts do not make the alpha = 4.5 kernel positive definite:
-    # LAPACK fails, the jitter ladder fails too, and the value is +inf
+    # LAPACK fails, and the value is +inf
     rel, _, _ = _block_contrasts()
     rows = increment_matrix(rel, 1).rows
     rng = np.random.default_rng(1)
@@ -342,7 +342,8 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
         mu = _mu_from_x(xi)
         sigma = rows @ g_alpha(4.5, np.abs(diff + mu * np.conj(diff))) @ rows.T
         sigma = 0.5 * (sigma + sigma.T)
-        assert _cholesky_or_none(sigma, float(np.mean(np.diag(sigma)))) is None
+        assert dpotrf(sigma, lower=1)[1] != 0
+    assert _alpha_nll(4.5, np.abs(diff), rows, ytilde.T) == np.inf
 
 
 def _oracle_fit(rel, rows, ytilde, alpha):
