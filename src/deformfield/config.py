@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -97,12 +98,26 @@ class PipelineConfig:
             ("harmonic_n", 0, (n_blocks - 1) // 2),  # 2n+1 fit points among the blocks
             ("d1_samples", 1, None),
             ("sim_block", 0, None),  # 0 draws the lattice exactly
+            ("seed", 0, None),  # numpy seeds are non-negative
             ("threads", 1, None),
         ):
             value = getattr(self, name)
             if value < lo or (hi is not None and value > hi):
                 span = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
                 raise ConfigError(f"{name} must be {span}, got {value}")
+        # only the parameters build_model reads for this family: range is not
+        # one of polynomial-plus-fractional's, c is not one of the others'
+        scale = "c" if self.family == POLY_FRACTIONAL else "range"
+        for name in ("variance", scale, "alpha"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.family == POWERED_EXPONENTIAL and not self.alpha < 2.0:
+            raise ConfigError(f"alpha must be below 2 for {self.family}, got {self.alpha}")
+        if self.family != POWERED_EXPONENTIAL and (self.alpha / 2.0).is_integer():
+            raise ConfigError(
+                f"alpha must not be an even integer for {self.family}, got {self.alpha}"
+            )
         if not self.alpha_max > ALPHA_FLOOR:
             raise ConfigError(f"alpha_max must exceed {ALPHA_FLOOR}, got {self.alpha_max}")
         tiles = self.sim_tiles()

@@ -90,21 +90,27 @@ def _scatter_to_box(
     origin = complex(x0, y0)
     e1, e2 = corners[1] - corners[0], corners[2] - corners[0]
     dv1, dv2 = values[1] - values[0], values[2] - values[0]
-    # every triangle's bounding box starts at box node (i0, j0), none is wider than reach
+    # each triangle's bounding box holds box nodes i0..i0+wi by j0..j0+wj
     rel = (corners - origin) / h
     i0 = np.ceil(rel.real.min(axis=0) - 1e-9).astype(np.int64)
     j0 = np.ceil(rel.imag.min(axis=0) - 1e-9).astype(np.int64)
-    reach = int(np.ceil(max(np.ptp(rel.real, axis=0).max(), np.ptp(rel.imag, axis=0).max())))
+    wi = np.floor(rel.real.max(axis=0) + 1e-9).astype(np.int64) - i0
+    wj = np.floor(rel.imag.max(axis=0) + 1e-9).astype(np.int64) - j0
+    reach = max(wi.max(), wj.max(), 0)
     grid = np.zeros((n, n), dtype=np.complex128)
+    # a node on a shared edge or vertex keeps the last write: passes run in
+    # (di, dj) order and triangles in index order within a pass
     for di in range(reach + 1):
         for dj in range(reach + 1):
-            i, j = np.minimum(i0 + di, n - 1), np.minimum(j0 + dj, n - 1)
-            p = origin + h * (i + 1j * j) - corners[0]
+            t = np.flatnonzero((wi >= di) & (wj >= dj))
+            i, j = np.minimum(i0[t] + di, n - 1), np.minimum(j0[t] + dj, n - 1)
+            p = origin + h * (i + 1j * j) - corners[0, t]
             # barycentric weights of the second and third vertex
-            lb = np.imag(np.conj(p) * e2) / area2
-            lc = np.imag(np.conj(e1) * p) / area2
+            lb = np.imag(np.conj(p) * e2[t]) / area2[t]
+            lc = np.imag(np.conj(e1[t]) * p) / area2[t]
             hit = (lb >= -1e-12) & (lc >= -1e-12) & (lb + lc <= 1.0 + 1e-12)
-            grid[i[hit], j[hit]] = (values[0] + lb * dv1 + lc * dv2)[hit]
+            t = t[hit]
+            grid[i[hit], j[hit]] = values[0, t] + lb[hit] * dv1[t] + lc[hit] * dv2[t]
     return ComplexGrid(n, n, (x0, y0), (h, h), grid)
 
 

@@ -12,11 +12,11 @@ yields local dilatation and scale estimates.
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import optimize  # noqa: F401  (perfbench/tracer.py patches optimize.minimize)
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import ArtifactError, EstimationError
@@ -33,6 +33,15 @@ MU_CAP = 1.0 - 1e-6
 STATUS_OK = "ok"
 STATUS_MISSING = "missing"
 STATUS_IMPUTED = "imputed"
+
+
+def __getattr__(name: str):
+    # No stage calls scipy.optimize, so it is imported only when read: the
+    # benchmark tracer (perfbench/tracer.py) patches likelihood.optimize.minimize.
+    # This hook goes once that patch does (ROADMAP item 6).
+    if name == "optimize":
+        return importlib.import_module("scipy.optimize")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

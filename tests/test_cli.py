@@ -74,6 +74,7 @@ def test_missing_config_file_exits_four(tmp_path, capsys):
         ("sim_block", -1),
         ("alpha_max", 0.05),
         ("threads", 0),
+        ("seed", -1),
     ],
 )
 def test_out_of_range_setting_exits_two(tmp_path, capsys, field, value):
@@ -83,6 +84,42 @@ def test_out_of_range_setting_exits_two(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, out_dir=str(tmp_path / "out"))
+    assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "family, field, value",
+    [
+        ("powered-exponential", "variance", 0.0),
+        ("powered-exponential", "range", 0.0),
+        ("powered-exponential", "alpha", 2.5),
+        ("matern", "alpha", 2.0),
+        ("polynomial-plus-fractional", "c", 0.0),
+    ],
+    ids=["zero-variance", "zero-range", "alpha-above-two", "matern-even-alpha", "zero-c"],
+)
+def test_bad_covariance_parameter_exits_two(tmp_path, capsys, family, field, value):
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, out_dir=str(tmp_path / "out"), family=family, **{field: value})
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_parameters_a_family_ignores_are_not_checked(tmp_path):
+    # range is not read by polynomial-plus-fractional, c by the other two
+    for family, field in (("polynomial-plus-fractional", "range"), ("matern", "c")):
+        path = tmp_path / f"{family}.cfg"
+        _mini_cfg_file(path, family=family, **{field: 0.0})
+        read_config(str(path))  # parse_config validates
 
 
 @pytest.mark.parametrize(

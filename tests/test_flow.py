@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from deformfield import flow
 from deformfield.errors import FlowError, OrientationError
 from deformfield.fields import numeric_dilatation
 from deformfield.flow import (
     FlowState,
+    _scatter_to_box,
     flow_step,
     poisson_solve_dirichlet,
     reconstruct_map,
@@ -143,6 +145,82 @@ def test_sigma_field_reproduces_linear_source_on_bent_lattice():
     concave &= (nodes.real > 0) & (nodes.imag > 0)
     assert concave.sum() > 20
     assert np.all(sig.values[concave] == 0.0)
+
+
+def _scatter_full_window(corners, values, area2, box, n, reverse=False):
+    # reference: every triangle tested against the same window of box nodes,
+    # as wide as the widest triangle; reverse flips the write order in a pass
+    x0, x1, y0, _ = box
+    h = (x1 - x0) / (n - 1)
+    origin = complex(x0, y0)
+    e1, e2 = corners[1] - corners[0], corners[2] - corners[0]
+    dv1, dv2 = values[1] - values[0], values[2] - values[0]
+    rel = (corners - origin) / h
+    i0 = np.ceil(rel.real.min(axis=0) - 1e-9).astype(np.int64)
+    j0 = np.ceil(rel.imag.min(axis=0) - 1e-9).astype(np.int64)
+    reach = int(np.ceil(max(np.ptp(rel.real, axis=0).max(), np.ptp(rel.imag, axis=0).max())))
+    grid = np.zeros((n, n), dtype=np.complex128)
+    for di in range(reach + 1):
+        for dj in range(reach + 1):
+            i, j = np.minimum(i0 + di, n - 1), np.minimum(j0 + dj, n - 1)
+            p = origin + h * (i + 1j * j) - corners[0]
+            lb = np.imag(np.conj(p) * e2) / area2
+            lc = np.imag(np.conj(e1) * p) / area2
+            hit = (lb >= -1e-12) & (lc >= -1e-12) & (lb + lc <= 1.0 + 1e-12)
+            # gathered index arrays: numpy may write through a reversed view
+            # in memory order, which would undo the reversal
+            k = np.flatnonzero(hit)[::-1] if reverse else np.flatnonzero(hit)
+            grid[i[k], j[k]] = (values[0] + lb * dv1 + lc * dv2)[k]
+    return grid
+
+
+def _scatter_inputs(mu, state, monkeypatch):
+    # the (corners, values, area2, box, n) that sigma_field hands to the scatter
+    seen = []
+    monkeypatch.setattr(flow, "_scatter_to_box", lambda *args: seen.append(args) or None)
+    sigma_field(mu, state)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_scatter_matches_full_window_on_bent_lattice(monkeypatch):
+    n = 17
+    s = np.linspace(0.0, 1.0, n)
+    vals = 0.4 * np.exp(2j * np.pi * s[:, None]) * s[None, :]
+    mu = ComplexGrid(n, n, (0.0, 0.0), (1.0 / 16, 1.0 / 16), vals)
+    state = FlowState.identity(mu)
+    for _ in range(3):
+        state = flow_step(state, 0.25, mu)
+    args = _scatter_inputs(mu, state, monkeypatch)
+    assert np.array_equal(_scatter_to_box(*args).values, _scatter_full_window(*args))
+
+
+def test_scatter_keeps_write_order_on_shared_edges(monkeypatch):
+    # sites k/8 on box nodes 2k + 4 (spacing 1/16): every cell's diagonal,
+    # edges and corners pass through nodes that two or more triangles hit.
+    # Each triangle carries its own random values, so whichever writes last
+    # decides the node.
+    mu = _const_mu(9, 0.0)
+    corners, values, area2, _, _ = _scatter_inputs(mu, FlowState.identity(mu), monkeypatch)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    args = (corners, values, area2, (-0.25, 1.25, -0.25, 1.25), 25)
+    got = _scatter_to_box(*args).values
+    assert np.array_equal(got, _scatter_full_window(*args))
+    assert not np.array_equal(got, _scatter_full_window(*args, reverse=True))
+
+
+def test_scatter_tests_a_sliver_across_its_whole_bounding_box():
+    # one sliver from node (1, 1) to node (4, 4): it hits the four diagonal
+    # nodes, at offsets 0 and reach = 3 from its box corner included
+    box, n = (0.0, 1.0, 0.0, 1.0), 9
+    h = 1.0 / 8
+    corners = h * np.array([[1 + 1j], [4 + 4j], [1 + 1.3j]])
+    area2 = np.imag(np.conj(corners[1] - corners[0]) * (corners[2] - corners[0]))
+    values = np.array([[0.5 + 0.1j], [-0.2 + 0.3j], [0.7 - 0.4j]])
+    got = _scatter_to_box(corners, values, area2, box, n).values
+    assert np.array_equal(got, _scatter_full_window(corners, values, area2, box, n))
+    assert [(k, k) for k in range(1, 5)] == [tuple(ij) for ij in np.argwhere(got != 0)]
 
 
 def test_sigma_field_rejects_folded_lattice():

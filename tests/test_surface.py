@@ -4,6 +4,8 @@ import ast
 import glob
 import os
 import re
+import subprocess
+import sys
 
 import deformfield
 
@@ -45,3 +47,16 @@ def test_modules_import_no_private_names_from_each_other():
                 if alias.name.startswith("_")
             ]
     assert private == []
+
+
+def test_import_leaves_scipy_optimize_unloaded_until_read():
+    # no stage calls scipy.optimize; likelihood.optimize imports it on request
+    probe = (
+        "import sys, deformfield; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize'))); "
+        "print(callable(deformfield.likelihood.optimize.minimize))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "True"]
