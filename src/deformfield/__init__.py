@@ -47,7 +47,6 @@ from .fields import (
     empirical_variogram,
     g_alpha,
     numeric_dilatation,
-    p_alpha,
     simulate_isotropic,
     simulation_blocks,
     variogram_slope,
@@ -117,7 +116,6 @@ __all__ = [
     "monomial_basis",
     "mu_to_ellipse",
     "numeric_dilatation",
-    "p_alpha",
     "parse_config",
     "partition_grid",
     "poisson_solve_dirichlet",

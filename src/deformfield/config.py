@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, OrientationError
 from .fields import (
     MATERN,
     MAX_EXACT_SIM,
@@ -80,8 +80,12 @@ class PipelineConfig:
             )
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ConfigError("grid_nx and grid_ny must be at least 2")
-        if self.spacing_x <= 0 or self.spacing_y <= 0:
-            raise ConfigError("spacing_x and spacing_y must be positive")
+        for name in ("origin_x", "origin_y", "spacing_x", "spacing_y"):
+            value = getattr(self, name)
+            spacing = name.startswith("spacing")
+            if not (0.0 if spacing else -math.inf) < value < math.inf:
+                rule = "positive and finite" if spacing else "finite"
+                raise ConfigError(f"{name} must be {rule}, got {value}")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ConfigError("noise_fraction must be in [0, 1)")
         if self.deform == "grid_map" and not self.deform_path:
@@ -105,21 +109,22 @@ class PipelineConfig:
             if value < lo or (hi is not None and value > hi):
                 span = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
                 raise ConfigError(f"{name} must be {span}, got {value}")
-        # only the parameters build_model reads for this family: range is not
-        # one of polynomial-plus-fractional's, c is not one of the others'
-        scale = "c" if self.family == POLY_FRACTIONAL else "range"
-        for name in ("variance", scale, "alpha"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.family == POWERED_EXPONENTIAL and not self.alpha < 2.0:
-            raise ConfigError(f"alpha must be below 2 for {self.family}, got {self.alpha}")
-        if self.family != POWERED_EXPONENTIAL and (self.alpha / 2.0).is_integer():
+        # the covariance model and the deformation own their parameter rules;
+        # a grid map is read from its file by the stages, whose read errors
+        # are I/O failures
+        try:
+            self.build_model()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.deform != "grid_map":
+            try:
+                self.build_deformation()
+            except (ValueError, OrientationError) as exc:
+                raise ConfigError(f"deform = {self.deform}: {exc}") from None
+        if not ALPHA_FLOOR < self.alpha_max < math.inf:
             raise ConfigError(
-                f"alpha must not be an even integer for {self.family}, got {self.alpha}"
+                f"alpha_max must exceed {ALPHA_FLOOR} and be finite, got {self.alpha_max}"
             )
-        if not self.alpha_max > ALPHA_FLOOR:
-            raise ConfigError(f"alpha_max must exceed {ALPHA_FLOOR}, got {self.alpha_max}")
         tiles = self.sim_tiles()
         largest = self.grid_nx * self.grid_ny if tiles is None else max(t.size for t in tiles)
         if largest > MAX_EXACT_SIM:

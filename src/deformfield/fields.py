@@ -38,20 +38,6 @@ JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 MAX_EXACT_SIM = 20000
 
 
-def p_alpha(alpha: float) -> int:
-    """Order of the even-polynomial part removed before the fractional term.
-
-    floor(alpha/2) when alpha/2 is not an integer, alpha/2 - 1 otherwise.
-    """
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    half = alpha / 2.0
-    if half == int(half):
-        return int(half) - 1
-    return int(np.floor(half))
-
-
 def g_alpha(alpha: float, t) -> np.ndarray | float:
     """Fractal-index kernel G_alpha.
 
@@ -105,50 +91,47 @@ class CovarianceModel:
     c: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        if self.range <= 0:
-            raise ValueError("range must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.c <= 0:
-            raise ValueError("fractional coefficient c must be positive")
-        if self.family == POWERED_EXPONENTIAL and not 0 < self.alpha < 2:
-            raise ValueError("powered-exponential needs alpha in (0, 2)")
-        if self.family in (MATERN, POLY_FRACTIONAL) and (self.alpha / 2) == int(
-            self.alpha / 2
-        ):
-            raise ValueError("matern-form families need non-integer alpha/2")
+        # The family is built from range (powered-exponential, matern) or from
+        # c (polynomial-plus-fractional); the classmethods pass the other as
+        # None, and it is derived only once every rule below holds.
         if self.family not in (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL):
             raise ValueError(f"unknown covariance family {self.family!r}")
+        given, derived = ("c", "range") if self.family == POLY_FRACTIONAL else ("range", "c")
+        for name in ("variance", given, "alpha"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.family == POWERED_EXPONENTIAL and not self.alpha < 2.0:
+            raise ValueError(f"alpha must be below 2 for {self.family}, got {self.alpha}")
+        if self.family != POWERED_EXPONENTIAL and (self.alpha / 2.0).is_integer():
+            raise ValueError(
+                f"alpha must not be an even integer for {self.family}, got {self.alpha}"
+            )
+        v, a, nu = np.float64(self.variance), self.alpha, self.alpha / 2.0
+        with np.errstate(all="ignore"):  # overflow and underflow end in the check below
+            if self.family == POWERED_EXPONENTIAL:
+                value = v / np.float64(self.range) ** a
+            else:
+                num, den = v * abs(special.gamma(1.0 - nu)), special.gamma(1.0 + nu)
+                if self.family == MATERN:
+                    value = num / (den * (2.0 * np.float64(self.range)) ** a)
+                else:
+                    value = 0.5 * (num / (den * self.c)) ** (1.0 / a)
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{given} must give a positive finite {derived}, got {value}")
+        object.__setattr__(self, derived, float(value))
 
     @classmethod
     def powered_exponential(cls, variance: float, range: float, gamma: float):
-        return cls(
-            POWERED_EXPONENTIAL,
-            variance,
-            range,
-            gamma,
-            variance / range**gamma,
-        )
+        return cls(POWERED_EXPONENTIAL, variance, range, gamma, None)
 
     @classmethod
     def matern(cls, variance: float, range: float, nu: float):
-        alpha = 2.0 * nu
-        c = (
-            variance
-            * abs(special.gamma(1.0 - nu))
-            / (special.gamma(1.0 + nu) * (2.0 * range) ** alpha)
-        )
-        return cls(MATERN, variance, range, alpha, c)
+        return cls(MATERN, variance, range, 2.0 * nu, None)
 
     @classmethod
     def polynomial_plus_fractional(cls, variance: float, alpha: float, c: float = 1.0):
-        nu = alpha / 2.0
-        rho = 0.5 * (
-            variance * abs(special.gamma(1.0 - nu)) / (special.gamma(1.0 + nu) * c)
-        ) ** (1.0 / alpha)
-        return cls(POLY_FRACTIONAL, variance, rho, alpha, c)
+        return cls(POLY_FRACTIONAL, variance, None, alpha, c)
 
 
 def covariance_eval(model: CovarianceModel, t) -> np.ndarray | float:
@@ -377,12 +360,7 @@ class DeformationSpec:
     @classmethod
     def affine(cls, a=1.0, b=0.0, d=0.0, domain=(0, 1, 0, 1)):
         """z -> a z + b conj(z) + d; orientation preserving iff |a| > |b|."""
-        a, b, d = complex(a), complex(b), complex(d)
-        if abs(a) <= abs(b):
-            raise OrientationError(
-                f"affine map with |a|={abs(a):g} <= |b|={abs(b):g} reverses orientation"
-            )
-        spec = cls("affine", {"a": a, "b": b, "d": d}, tuple(domain))
+        spec = cls("affine", {"a": complex(a), "b": complex(b), "d": complex(d)}, tuple(domain))
         spec._validate()
         return spec
 
@@ -406,6 +384,15 @@ class DeformationSpec:
     # -- evaluation --------------------------------------------------------
 
     def _validate(self) -> None:
+        for name, value in self.params.items():
+            if name != "grid" and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.kind == "affine":
+            a, b = abs(self.params["a"]), abs(self.params["b"])
+            if a <= b:
+                raise OrientationError(
+                    f"affine map with |a|={a:g} <= |b|={b:g} reverses orientation"
+                )
         x0, x1, y0, y1 = self.domain
         xs = np.linspace(x0, x1, self.PROBE)
         ys = np.linspace(y0, y1, self.PROBE)

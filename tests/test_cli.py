@@ -1,10 +1,13 @@
 """Command line interface: exit codes, messages, and a small run."""
 
+import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -75,6 +78,11 @@ def test_missing_config_file_exits_four(tmp_path, capsys):
         ("alpha_max", 0.05),
         ("threads", 0),
         ("seed", -1),
+        ("spacing_x", math.nan),
+        ("spacing_x", math.inf),
+        ("origin_x", math.inf),
+        ("origin_x", -math.inf),
+        ("alpha_max", math.inf),
     ],
 )
 def test_out_of_range_setting_exits_two(tmp_path, capsys, field, value):
@@ -120,6 +128,96 @@ def test_parameters_a_family_ignores_are_not_checked(tmp_path):
         path = tmp_path / f"{family}.cfg"
         _mini_cfg_file(path, family=family, **{field: 0.0})
         read_config(str(path))  # parse_config validates
+
+
+def test_parameters_a_family_reads_are_checked_before_use(tmp_path):
+    # the derived range of polynomial-plus-fractional is not computed from c = 0,
+    # so the console shows the refusal and no RuntimeWarning
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, out_dir=str(tmp_path / "out"), family="polynomial-plus-fractional", c=0.0)
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformfield.cli", "pipeline", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: c must be positive and finite, got 0.0\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"spacing_x": 1e-300}, "deform = rotational: map folds over"),
+        ({"deform_r0": math.nan}, "deform = rotational: r0 must be finite, got nan"),
+        ({"deform_r0": math.inf}, "deform = rotational: r0 must be finite, got inf"),
+        ({"deform_angle": math.nan}, "deform = rotational: angle must be finite, got nan"),
+        ({"deform_angle": math.inf}, "deform = rotational: angle must be finite, got inf"),
+        (  # on the unit square, which reaches past r0
+            {"deform_r0": 0.5, "spacing_x": 1.0 / 29.0, "spacing_y": 1.0 / 29.0},
+            "deform = rotational: map folds over",
+        ),
+        ({"deform": "affine", "affine_a_re": math.nan}, "deform = affine: a must be finite"),
+        (
+            {"deform": "affine", "affine_a_re": 0.5, "affine_b_im": 0.5},
+            "deform = affine: affine map with |a|=0.5 <= |b|=0.5 reverses orientation",
+        ),
+    ],
+    ids=[
+        "tiny-spacing", "nan-r0", "inf-r0", "nan-angle", "inf-angle", "folding-r0",
+        "nan-affine", "reversing-affine",
+    ],
+)
+def test_unusable_deformation_exits_two(tmp_path, capsys, overrides, message):
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, out_dir=str(tmp_path / "out"), **overrides)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+_SWEEP_VALUES = {
+    "float": (math.nan, math.inf, -math.inf, 0.0, -1.0),
+    "int": (-1, 0),
+    "str": ("bogus",),
+}
+_SWEEP_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig) if f.name != "out_dir"}
+_AFFINE_KEYS = [name for name in _SWEEP_TYPES if name.startswith("affine_")]
+# |a| = 1.02 > |b| = 0.32 on the affine base; the rotational base ignores them
+_SWEEP_BASE = {
+    "block": 5, "flow_lattice": 16, "flow_steps": 3,
+    "affine_a_im": 0.2, "affine_b_re": 0.3, "affine_b_im": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "deform, field",
+    [("rotational", name) for name in _SWEEP_TYPES]
+    + [("affine", name) for name in _AFFINE_KEYS],
+    ids=list(_SWEEP_TYPES) + [f"{name}-on-affine" for name in _AFFINE_KEYS],
+)
+def test_config_sweep_ends_in_a_documented_exit(tmp_path, capsys, deform, field):
+    # every value of every key ends in exit 0, 2, 3 or 4 with at most one line
+    # on stderr, and a refused config leaves no run directory and no warning
+    problems = []
+    for k, value in enumerate(_SWEEP_VALUES[_SWEEP_TYPES[field]]):
+        path = tmp_path / f"run{k}.cfg"
+        out = tmp_path / f"out{k}"
+        _mini_cfg_file(path, out_dir=str(out), **{**_SWEEP_BASE, "deform": deform, field: value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(["pipeline", "--config", str(path)])
+            except Exception as exc:  # reported with the others below
+                problems.append(f"{value!r}: {type(exc).__name__}: {exc}")
+                continue
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or err.count("\n") > 1:
+            problems.append(f"{value!r}: exit {code}, stderr {err!r}")
+        if code == 2 and (out.exists() or caught):
+            problems.append(f"{value!r}: exit 2 with {[str(w.message) for w in caught]}")
+    assert not problems
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Covariance families, simulation, deformations, and variograms."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from deformfield.fields import (
     empirical_variogram,
     g_alpha,
     numeric_dilatation,
-    p_alpha,
     simulate_isotropic,
     simulation_blocks,
     variogram_slope,
@@ -32,16 +32,6 @@ from deformfield.grids import ComplexGrid
 
 # ---------------------------------------------------------------------------
 # Generalized covariance kernel
-
-
-def test_p_alpha_branches():
-    assert p_alpha(0.7) == 0
-    assert p_alpha(2.0) == 0
-    assert p_alpha(3.0) == 1
-    assert p_alpha(4.0) == 1
-    assert p_alpha(5.9) == 2
-    with pytest.raises(ValueError):
-        p_alpha(0.0)
 
 
 def test_g_alpha_reference_values():
@@ -116,10 +106,50 @@ def test_matern_rejects_integer_halves():
         CovarianceModel.polynomial_plus_fractional(1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CovarianceModel.powered_exponential(np.nan, 1.0, 0.7), "variance must be"),
+        (lambda: CovarianceModel.powered_exponential(1.0, 0.0, 0.7), "range must be"),
+        (lambda: CovarianceModel.matern(1.0, np.inf, 0.35), "range must be"),
+        (lambda: CovarianceModel.matern(1.0, 1.0, 1.0), "alpha must not be an even integer"),
+        (lambda: CovarianceModel.polynomial_plus_fractional(1.0, 0.7, 0.0), "c must be"),
+        (lambda: CovarianceModel.powered_exponential(1.0, 1e-300, 1.9), "range must give"),
+    ],
+    ids=[
+        "nan-variance", "zero-range", "matern-inf-range", "matern-even-alpha", "zero-c",
+        "underflowing-range",
+    ],
+)
+def test_covariance_rules_are_checked_before_the_derived_parameter(build, message):
+    # the named rule refuses the model: no ZeroDivisionError, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: DeformationSpec.rotational(r0=np.nan), "r0"),
+        (lambda: DeformationSpec.rotational(angle=np.inf), "angle"),
+        (lambda: DeformationSpec.affine(a=np.nan), "a"),
+    ],
+    ids=["nan-r0", "inf-angle", "nan-a"],
+)
+def test_deformation_parameters_must_be_finite(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
 def _polynomial_part(model: CovarianceModel, t: float) -> float:
-    """The even-polynomial part sum_{k<=p_alpha} K^(2k)(0) t^(2k) / (2k)!, in closed form."""
+    """The even-polynomial part sum_{k<=floor(alpha/2)} K^(2k)(0) t^(2k) / (2k)!, in closed form.
+
+    Every model here has a non-even alpha, so floor(alpha/2) is the degree.
+    """
     if model.family == POWERED_EXPONENTIAL:
-        return model.variance  # alpha < 2, so p_alpha = 0: only the constant survives
+        return model.variance  # alpha < 2: only the constant survives
     nu = model.alpha / 2.0
     return sum(
         model.variance
@@ -127,7 +157,7 @@ def _polynomial_part(model: CovarianceModel, t: float) -> float:
         / (special.factorial(k) * special.gamma(k + 1.0 - nu))
         / (2.0 * model.range) ** (2 * k)
         * t ** (2 * k)
-        for k in range(p_alpha(model.alpha) + 1)
+        for k in range(int(model.alpha // 2) + 1)
     )
 
 
