@@ -197,6 +197,8 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
 
     f_check, phi_check = reconstruct_map(mu_star, steps=cfg.flow_steps, stats=stats)
     f_hat = compose_estimate(f_check, phi_check, smoothed, n_max=cfg.harmonic_n, stats=stats)
+    # an interior fold would stop evaluate; refuse it here, before any map is written
+    numeric_dilatation(f_hat, interior_only=True)
     write_grd(f_check, os.path.join(out_dir, "fcheck.grd"))
     write_grd(phi_check, os.path.join(out_dir, "phicheck.grd"))
     write_grd(f_hat, os.path.join(out_dir, "fhat.grd"))

@@ -220,6 +220,19 @@ def test_config_sweep_ends_in_a_documented_exit(tmp_path, capsys, deform, field)
     assert not problems
 
 
+def test_interior_fold_exits_three_at_reconstruct(tmp_path, capsys):
+    # the sweep's base drawn untiled folds in the interior; the run ends at
+    # reconstruct with one line and leaves no map for evaluate to refuse
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out), **{**_SWEEP_BASE, "sim_block": 0})
+    assert main(["pipeline", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: map folds over") and err.count("\n") == 1
+    assert (out / "estimates.csv").exists()
+    assert not (out / "fhat.grd").exists() and not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize(
     "side, sim_block, sites",
     [(150, 0, 22500), (300, 200, 90000)],  # one exact draw; one 300x300 tile

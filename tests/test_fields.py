@@ -12,6 +12,9 @@ from deformfield.errors import OrientationError, SimulationError
 from deformfield.fields import (
     MAX_EXACT_SIM,
     POWERED_EXPONENTIAL,
+    SERIES_CHUNK,
+    SERIES_SIN,
+    SERIES_X,
     CovarianceModel,
     DeformationSpec,
     SampleField,
@@ -222,6 +225,63 @@ def test_covariance_matrix_matches_elementwise_kernel(model):
     for sites in (lattice, bent):
         dist = np.abs(sites[:, None] - sites[None, :])
         assert np.array_equal(_covariance_matrix(model, sites), covariance_eval(model, dist))
+
+
+def _matern_by_kv(model, t):
+    x = t / model.range
+    nu = model.alpha / 2.0
+    return model.variance * 2.0 ** (1.0 - nu) / special.gamma(nu) * x**nu * special.kv(nu, x)
+
+
+_NUS = [0.05, 0.35, 0.5, 0.85, 0.95, 0.99, 0.999, 1.35, 1.65, 1.99]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [CovarianceModel.matern(1.3, 0.4, nu) for nu in _NUS]
+    + [CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)],
+    ids=[f"matern-{nu}" for nu in _NUS] + ["paper"],
+)
+def test_matern_form_matches_bessel_k(model):
+    # the series within 1e-12 of the variance up to SERIES_X; kv's own values
+    # past it (both sides of it sampled) and wherever |sin(nu pi)| is small
+    edge = SERIES_X * (1.0 + np.arange(-3, 4) * 1e-12)
+    x = np.concatenate([np.linspace(1e-6, 2 * SERIES_X, 4001), edge])
+    t = x * model.range
+    got = covariance_eval(model, t)
+    want = _matern_by_kv(model, t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * model.variance
+    by_kv = (t / model.range > SERIES_X) | (abs(np.sin(model.alpha / 2 * np.pi)) < SERIES_SIN)
+    assert np.array_equal(got[by_kv], want[by_kv])
+    assert covariance_eval(model, 0.0) == model.variance
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0),
+        CovarianceModel.matern(1.0, 0.4, 0.99),  # by kv alone
+        CovarianceModel.powered_exponential(1.0, 0.3, 1.0),
+    ],
+)
+def test_covariance_eval_is_elementwise(model):
+    # every entry is the same bits alone, in a slice, in a 2-d array and in
+    # an array across the series' chunk boundary
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 2 * SERIES_X, SERIES_CHUNK + 1000)
+    x[:10] = 0.0
+    t = x * model.range
+    full = covariance_eval(model, t)
+    for i in (0, 17, SERIES_CHUNK - 1, SERIES_CHUNK, t.size - 1):
+        assert covariance_eval(model, t[i]) == full[i]
+    cut = slice(SERIES_CHUNK - 50, SERIES_CHUNK + 50)
+    assert np.array_equal(covariance_eval(model, t[cut]), full[cut])
+    assert np.array_equal(covariance_eval(model, t[::-1]), full[::-1])
+    grid = t[:1000].reshape(25, 40).T  # 2-d and not C-ordered
+    assert np.array_equal(covariance_eval(model, grid), full[:1000].reshape(25, 40).T)
+    for top in (0.5 * SERIES_X, 0.01 * SERIES_X):  # largest x far below SERIES_X
+        near = x < top
+        assert np.array_equal(covariance_eval(model, t[near]), full[near])
 
 
 @pytest.mark.parametrize(
