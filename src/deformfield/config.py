@@ -144,17 +144,8 @@ class PipelineConfig:
         return None
 
     def build_model(self) -> CovarianceModel:
-        if self.family == POWERED_EXPONENTIAL:
-            return CovarianceModel.powered_exponential(
-                variance=self.variance, range=self.range, gamma=self.alpha
-            )
-        if self.family == MATERN:
-            return CovarianceModel.matern(
-                variance=self.variance, range=self.range, nu=self.alpha / 2.0
-            )
-        return CovarianceModel.polynomial_plus_fractional(
-            variance=self.variance, alpha=self.alpha, c=self.c
-        )
+        """The covariance model; it derives range or c by family, over the value given."""
+        return CovarianceModel(self.family, self.variance, self.range, self.alpha, self.c)
 
     def domain(self) -> tuple[float, float, float, float]:
         """Lattice bounding box as (x0, x1, y0, y1)."""

@@ -48,8 +48,8 @@ SERIES_TERMS = 16
 #: Entries summed per pass, so the Horner accumulators stay in cache.
 SERIES_CHUNK = 32768
 
-#: Most locations drawn by one dense factorization; the pipeline refuses
-#: larger untiled lattices up front.
+#: Most locations in one tile, drawn by one dense factorization; the config
+#: refuses a lattice whose exact draw or largest tile is larger up front.
 MAX_EXACT_SIM = 20000
 
 
@@ -107,8 +107,8 @@ class CovarianceModel:
 
     def __post_init__(self):
         # The family is built from range (powered-exponential, matern) or from
-        # c (polynomial-plus-fractional); the classmethods pass the other as
-        # None, and it is derived only once every rule below holds.
+        # c (polynomial-plus-fractional); the other is derived only once every
+        # rule below holds, over whatever was passed (the classmethods pass None).
         if self.family not in (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL):
             raise ValueError(f"unknown covariance family {self.family!r}")
         given, derived = ("c", "range") if self.family == POLY_FRACTIONAL else ("range", "c")
@@ -153,21 +153,24 @@ def covariance_eval(model: CovarianceModel, t) -> np.ndarray | float:
     """Evaluate K(t) at distances t >= 0, entry by entry.
 
     Each entry's value depends on that entry alone, never on which other
-    entries share the array.
+    entries share the array.  Every family overwrites one private copy of
+    t in place, except where special.kv serves the Matern form.
     """
     t = np.abs(np.asarray(t, dtype=np.float64), order="C")  # a private copy, reused in place
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
+    x = t.reshape(-1)  # a view of t, which is C-ordered
+    x /= model.range
+    out = t
     if model.family == POWERED_EXPONENTIAL:
-        out = model.variance * np.exp(-((t / model.range) ** model.alpha))
+        x **= model.alpha
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x *= model.variance
+    elif abs(np.sin(np.pi * model.alpha / 2.0)) < SERIES_SIN:
+        out = _matern_kv(model, x).reshape(t.shape)
     else:
-        x = t.reshape(-1)  # a view of t, which is C-ordered
-        x /= model.range
-        if abs(np.sin(np.pi * model.alpha / 2.0)) < SERIES_SIN:
-            out = _matern_kv(model, x).reshape(t.shape)
-        else:
-            _matern_series(model, x)
-            out = t
+        _matern_series(model, x)
     return out[0] if scalar else out
 
 
@@ -314,12 +317,6 @@ def _covariance_matrix(model: CovarianceModel, locations: np.ndarray) -> np.ndar
     return cov
 
 
-def _simulate_dense(model, locations, rng, stats) -> np.ndarray:
-    cov = _covariance_matrix(model, locations)
-    factor = cholesky_with_jitter(cov, stats=stats)
-    return factor @ rng.standard_normal(locations.size)
-
-
 def simulate_isotropic(
     model: CovarianceModel,
     locations,
@@ -330,41 +327,40 @@ def simulate_isotropic(
 ) -> SampleField:
     """Draw one realization of the isotropic field at arbitrary locations.
 
-    Exact dense simulation (symmetric factorization of the full covariance)
-    up to MAX_EXACT_SIM points.  Larger problems must pass ``blocks``, a
-    list of index arrays covering every location; each block is then
-    simulated exactly but independently of the others.  That approximation matches the
-    independence the block likelihood assumes, and block draws are seeded
-    per block so results do not depend on evaluation order.
-
-    The generator is numpy's default PCG64, so output is reproducible
-    across platforms for a fixed seed.  A given stats dict gets the number
-    of tiles whose factor needed jitter (jittered; an untiled draw is one
-    tile).
+    ``blocks``, a list of index arrays covering every location, splits them
+    into tiles; without it all locations form one tile.  Each tile is drawn
+    exactly by the factor of its dense covariance, independently of the
+    others as the block likelihood assumes, and none may exceed
+    MAX_EXACT_SIM locations.  Tile k draws from SeedSequence(seed,
+    spawn_key=(k,)) and the one tile of an untiled draw from SeedSequence(seed),
+    with numpy's default PCG64, so output is reproducible across platforms
+    and evaluation orders.  A given stats dict gets the number of tiles whose
+    factor needed jitter (jittered).
     """
     locations = np.asarray(locations, dtype=np.complex128).ravel()
     n = locations.size
     if n == 0:
         raise ValueError("no locations to simulate")
-    root = np.random.SeedSequence(seed)
     if blocks is None:
-        if n > MAX_EXACT_SIM:
-            raise SimulationError(
-                f"{n} locations exceed the exact-simulation cap {MAX_EXACT_SIM}; "
-                "pass blocks= for block-independent simulation"
-            )
-        values = _simulate_dense(model, locations, np.random.default_rng(root), stats)
+        tiles = [((), np.arange(n))]
     else:
-        cover = np.concatenate([np.asarray(b).ravel() for b in blocks])
+        tiles = [((k,), np.asarray(b).ravel()) for k, b in enumerate(blocks)]
+        cover = np.concatenate([idx for _, idx in tiles])
         if not np.array_equal(np.sort(cover), np.arange(n)):
             raise ValueError("blocks must partition all location indices exactly")
-        values = np.empty(n)
-        for k, block in enumerate(blocks):
-            idx = np.asarray(block).ravel()
-            if idx.size > MAX_EXACT_SIM:
-                raise SimulationError(f"block {k} holds {idx.size} > {MAX_EXACT_SIM} locations")
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-            values[idx] = _simulate_dense(model, locations[idx], rng, stats)
+    largest = max(idx.size for _, idx in tiles)
+    if largest > MAX_EXACT_SIM:
+        raise SimulationError(
+            f"a tile of {largest} locations exceeds the exact-simulation cap "
+            f"{MAX_EXACT_SIM}; pass blocks= whose tiles fit the cap"
+        )
+    values = np.empty(n)
+    for key, idx in tiles:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        # one expression, so no tile's factor outlives its draw
+        values[idx] = cholesky_with_jitter(
+            _covariance_matrix(model, locations[idx]), stats=stats
+        ) @ rng.standard_normal(idx.size)
     return SampleField(locations, values)
 
 

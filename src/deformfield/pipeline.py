@@ -155,12 +155,18 @@ def _positive(value, kinds) -> bool:
     return not isinstance(value, bool) and isinstance(value, kinds) and 0 < value < np.inf
 
 
-def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> DilatationScaleField:
-    path = os.path.join(out_dir, "estimates_meta.json")
-    meta = _read_meta(path, cfg, force)
+def _meta_alpha(meta: dict, path: str) -> float:
+    """The fractal index a stage's sidecar, read from path, records as alpha."""
     alpha = meta.get("alpha")
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ArtifactError(f"{path}: key 'alpha' is missing or not a number")
+    return float(alpha)
+
+
+def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> DilatationScaleField:
+    path = os.path.join(out_dir, "estimates_meta.json")
+    meta = _read_meta(path, cfg, force)
+    alpha = _meta_alpha(meta, path)
     geometry = meta.get("geometry")
     for key in ("nbx", "nby", "block", "spacing"):
         if not isinstance(geometry, dict) or key not in geometry:
@@ -173,7 +179,7 @@ def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> Dilatatio
     if not pair or not all(_positive(v, (int, float)) for v in spacing):
         raise ArtifactError(f"{path}: key 'geometry.spacing' is not a pair of positive numbers")
     csv = os.path.join(out_dir, "estimates.csv")
-    est = DilatationScaleField.from_csv(csv, alpha_used=float(alpha), geometry=geometry)
+    est = DilatationScaleField.from_csv(csv, alpha_used=alpha, geometry=geometry)
     nbx, nby = geometry["nbx"], geometry["nby"]
     if est.centers.size != nbx * nby:
         raise ArtifactError(f"{csv}: {est.centers.size} blocks, {path} expects {nbx}x{nby}")
@@ -269,14 +275,15 @@ def _isotropy_table(field_grid: Grid, f_hat: ComplexGrid, seed: int, bins: int =
 def stage_evaluate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> dict:
     """Distances to the true deformation plus an isotropy diagnostic."""
     cfg.validate()
-    meta = _read_meta(os.path.join(out_dir, "reconstruct_meta.json"), cfg, force)
+    path = os.path.join(out_dir, "reconstruct_meta.json")
+    alpha = _meta_alpha(_read_meta(path, cfg, force), path)
     f_hat = _read_grid(out_dir, "fhat.grd", complex_values=True)
     field_grid = _read_grid(out_dir, "field.grd", complex_values=False)
     truth = cfg.build_deformation()
     d1 = distance_d1(f_hat, truth, sample_count=cfg.d1_samples, seed=cfg.seed)
     mu_grid, _ = numeric_dilatation(f_hat, interior_only=True)
     d2 = distance_d2(mu_grid, truth)
-    metrics = {"alpha": float(meta.get("alpha", np.nan)), "d1": float(d1), "d2": float(d2)}
+    metrics = {"alpha": alpha, "d1": float(d1), "d2": float(d2)}
     lines = ["metric,value,config_hash"]
     for name in ("alpha", "d1", "d2"):
         lines.append(f"{name},{metrics[name]!r},{cfg.config_hash()}")

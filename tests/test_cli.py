@@ -415,6 +415,34 @@ def test_incomplete_estimates_meta_exits_four(tmp_path, capsys, corrupt, message
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda meta: meta.pop("alpha"),
+        lambda meta: meta.update(alpha=None),
+        lambda meta: meta.update(alpha="abc"),
+        lambda meta: meta.update(alpha=[1]),
+    ],
+    ids=["no-alpha", "alpha-null", "alpha-string", "alpha-list"],
+)
+def test_bad_reconstruct_meta_alpha_exits_four(tmp_path, capsys, corrupt):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    for stage in ("simulate", "estimate", "reconstruct"):
+        assert main([stage, "--config", str(path)]) == 0
+    meta = json.loads((out / "reconstruct_meta.json").read_text())
+    corrupt(meta)
+    (out / "reconstruct_meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ")
+    assert "reconstruct_meta.json: key 'alpha' is missing or not a number" in err
+    assert err.count("\n") == 1
+    assert not (out / "report.csv").exists()
+
+
 def test_dilatation_over_the_flow_cap_exits_three(tmp_path, capsys):
     # |mu| = 0.99995 in every block lies above the flow's cap at all 16 x 16
     # flow-lattice points; the run stops there instead of clipping and folding

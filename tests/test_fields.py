@@ -8,6 +8,7 @@ import pytest
 from scipy import special
 from scipy.linalg.lapack import dpotrf
 
+from deformfield import fields
 from deformfield.errors import OrientationError, SimulationError
 from deformfield.fields import (
     MAX_EXACT_SIM,
@@ -320,6 +321,26 @@ def test_cholesky_factor_contract():
     assert np.max(np.abs(factor @ factor.T - before)) <= 1e-12 * np.max(np.abs(before))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        CovarianceModel.powered_exponential(1.0, 0.3, 1.0),
+        CovarianceModel.powered_exponential(1.0, 0.3, 1.5),
+        CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0),  # by the series
+    ],
+    ids=["powered-exponential-1.0", "powered-exponential-1.5", "paper"],
+)
+def test_covariance_eval_works_in_one_copy_of_its_input(model):
+    t = np.random.default_rng(4).uniform(0.0, 2 * SERIES_X * model.range, 10**6)
+    tracemalloc.start()
+    try:
+        covariance_eval(model, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * t.nbytes
+
+
 def test_cholesky_allocates_no_copy_of_the_tile():
     sites = np.linspace(0.0, 1.0, 1000) + 0.0j
     cov = _covariance_matrix(CovarianceModel.powered_exponential(1.0, 0.3, 1.0), sites)
@@ -373,12 +394,43 @@ def test_simulation_counts_jittered_tiles():
     assert stats["jittered"] == 1
 
 
-def test_simulation_exact_cap():
+@pytest.mark.parametrize(
+    "blocks",
+    [None, [np.arange(3), np.arange(3, MAX_EXACT_SIM + 4)]],
+    ids=["untiled", "small-tile-then-one-over-the-cap"],
+)
+def test_simulation_exact_cap(monkeypatch, blocks):
+    # one site over the cap is refused before any covariance is built, even
+    # when a tile that fits comes first
+    def build(model, locations):
+        raise AssertionError("a covariance was built before the cap check")
+
+    monkeypatch.setattr(fields, "_covariance_matrix", build)
     m = CovarianceModel.powered_exponential(1.0, 1.0, 1.0)
-    # one site over the cap is refused before any covariance is built
-    pts = np.arange(MAX_EXACT_SIM + 1, dtype=float) + 0.0j
+    n = MAX_EXACT_SIM + 1 if blocks is None else MAX_EXACT_SIM + 4
+    pts = np.arange(n, dtype=float) + 0.0j
     with pytest.raises(SimulationError, match="exact-simulation cap"):
-        simulate_isotropic(m, pts, 0)
+        simulate_isotropic(m, pts, 0, blocks=blocks)
+
+
+def test_draws_are_the_factor_times_the_seeded_normals():
+    # an untiled draw is the one tile drawn from SeedSequence(seed); tile k
+    # of a tiled draw draws from SeedSequence(seed, spawn_key=(k,))
+    m = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
+    ax = np.arange(8) / 7.0
+    sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
+
+    def draw(z, seq):
+        normals = np.random.default_rng(seq).standard_normal(z.size)
+        return cholesky_with_jitter(_covariance_matrix(m, z)) @ normals
+
+    got = simulate_isotropic(m, sites, 5).values
+    assert np.array_equal(got, draw(sites, np.random.SeedSequence(5)))
+    blocks = simulation_blocks(8, 8, 4)
+    got = simulate_isotropic(m, sites, 5, blocks=blocks).values
+    for k, idx in enumerate(blocks):
+        want = draw(sites[idx], np.random.SeedSequence(5, spawn_key=(k,)))
+        assert np.array_equal(got[idx], want)
 
 
 def test_simulation_blocks_partition_and_determinism():

@@ -16,6 +16,7 @@ from deformfield.config import (
 )
 from deformfield import flow
 from deformfield.errors import ConfigError, FlowError
+from deformfield.fields import CovarianceModel
 from deformfield.grids import read_grd, write_grd
 from deformfield.likelihood import _MAX_HALVINGS, _MAX_ITER
 from deformfield.pipeline import (
@@ -99,6 +100,21 @@ def test_validate_rejects_bad_settings():
         _mini_config(noise_fraction=1.0).validate()
     with pytest.raises(ConfigError, match="deform_path"):
         _mini_config(deform="grid_map").validate()
+
+
+@pytest.mark.parametrize(
+    "family, classmethod_model",
+    [
+        ("powered-exponential", CovarianceModel.powered_exponential(0.5, 0.8, 0.7)),
+        ("matern", CovarianceModel.matern(0.5, 0.8, 0.35)),
+        ("polynomial-plus-fractional", CovarianceModel.polynomial_plus_fractional(0.5, 0.7, 1.3)),
+    ],
+)
+def test_build_model_equals_the_family_classmethod(family, classmethod_model):
+    # range is read by two families and c by the third; the other is derived
+    model = _mini_config(family=family, range=0.8, c=1.3).build_model()
+    for f in dataclasses.fields(model):
+        assert getattr(model, f.name) == getattr(classmethod_model, f.name), f.name
 
 
 def test_config_hash_stability_and_sensitivity():
