@@ -24,7 +24,7 @@ from .fields import (
     simulation_blocks,
 )
 from .grids import atomic_write_text
-from .likelihood import ALPHA_FLOOR
+from .likelihood import ALPHA_FLOOR, contrast_degree
 
 _FAMILIES = (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL)
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")
@@ -109,11 +109,16 @@ class PipelineConfig:
             if value < lo or (hi is not None and value > hi):
                 span = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
                 raise ConfigError(f"{name} must be {span}, got {value}")
-        # the covariance model and the deformation own their parameter rules;
-        # a grid map is read from its file by the stages, whose read errors
-        # are I/O failures
+        if not ALPHA_FLOOR < self.alpha_max < math.inf:
+            raise ConfigError(
+                f"alpha_max must exceed {ALPHA_FLOOR} and be finite, got {self.alpha_max}"
+            )
+        # the covariance model, the contrasts and the deformation own their
+        # parameter rules; a grid map is read from its file by the stages,
+        # whose read errors are I/O failures
         try:
             self.build_model()
+            contrast_degree(self.alpha_max, self.block)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.deform != "grid_map":
@@ -121,10 +126,6 @@ class PipelineConfig:
                 self.build_deformation()
             except (ValueError, OrientationError) as exc:
                 raise ConfigError(f"deform = {self.deform}: {exc}") from None
-        if not ALPHA_FLOOR < self.alpha_max < math.inf:
-            raise ConfigError(
-                f"alpha_max must exceed {ALPHA_FLOOR} and be finite, got {self.alpha_max}"
-            )
         tiles = self.sim_tiles()
         largest = self.grid_nx * self.grid_ny if tiles is None else max(t.size for t in tiles)
         if largest > MAX_EXACT_SIM:

@@ -48,7 +48,7 @@ def __getattr__(name: str):
 class NeighborhoodPartition:
     """Disjoint square blocks of lattice sites, row-major in block coords."""
 
-    blocks: list
+    blocks: np.ndarray  # (n_blocks, block * block) flat site indices
     centers: np.ndarray
     geometry: dict
 
@@ -85,18 +85,13 @@ def partition_grid(
             ny,
             block,
         )
-    blocks = []
-    centers = np.empty(nbx * nby, dtype=np.complex128)
+    sites = np.arange(nx * ny).reshape(nx, ny)[: nbx * block, : nby * block]
+    blocks = sites.reshape(nbx, block, nby, block).swapaxes(1, 2).reshape(-1, block * block)
+    bx, by = np.divmod(np.arange(nbx * nby), nby)
     half = (block - 1) / 2.0
-    for bx in range(nbx):
-        for by in range(nby):
-            ii = np.arange(bx * block, (bx + 1) * block)
-            jj = np.arange(by * block, (by + 1) * block)
-            blocks.append((ii[:, None] * ny + jj[None, :]).ravel())
-            centers[bx * nby + by] = complex(
-                origin[0] + (bx * block + half) * spacing[0],
-                origin[1] + (by * block + half) * spacing[1],
-            )
+    centers = np.empty(nbx * nby, dtype=np.complex128)
+    centers.real = origin[0] + (bx * block + half) * spacing[0]
+    centers.imag = origin[1] + (by * block + half) * spacing[1]
     geometry = {
         "nx": nx,
         "ny": ny,
@@ -110,19 +105,39 @@ def partition_grid(
     return NeighborhoodPartition(blocks, centers, geometry)
 
 
-def _shared_blocks(data: SampleField, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Within-block coordinates shared by all blocks, and their values, one block per row.
+def contrast_degree(alpha_max: float, block: int) -> int:
+    """Contrast degree floor(alpha_max / 2), which a b x b block holds iff it
+    is below 2 (b - 1): the monomials of that degree span all b^2 sites."""
+    degree = int(np.floor(alpha_max / 2.0))
+    if degree >= 2 * (block - 1):
+        raise ValueError(
+            f"alpha_max must be below {4 * (block - 1)} for block = {block}, whose blocks "
+            f"hold contrasts of degree below {2 * (block - 1)}, got {alpha_max}"
+        )
+    return degree
+
+
+def _shared_blocks(
+    data: SampleField, partition: NeighborhoodPartition, alpha_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Within-block sites shared by all blocks, contrast rows of degree
+    contrast_degree(alpha_max, block), and the contrasts, one block per row.
 
     Raises ValueError unless every block is a translate of the first.
     """
-    first = data.locations[np.asarray(blocks[0]).ravel()]
-    rel = first - first.mean()
+    degree = contrast_degree(alpha_max, partition.geometry["block"])
+    not_translates = "the partition's blocks must be translates of one another"
+    try:
+        idx = np.asarray(partition.blocks, dtype=np.intp)
+    except ValueError:  # a ragged list of blocks
+        raise ValueError(not_translates) from None
+    z = data.locations[idx]
+    rel = z[0] - z[0].mean()
     scale = max(np.max(np.abs(rel)), 1.0)
-    for block in blocks[1:]:
-        z = data.locations[np.asarray(block).ravel()]
-        if z.size != rel.size or np.max(np.abs((z - z.mean()) - rel)) > 1e-9 * scale:
-            raise ValueError("the partition's blocks must be translates of one another")
-    return rel, np.stack([data.values[np.asarray(b).ravel()] for b in blocks])
+    if np.max(np.abs(z - z.mean(axis=1, keepdims=True) - rel)) > 1e-9 * scale:
+        raise ValueError(not_translates)
+    rows = increment_matrix(rel, degree).rows
+    return rel, rows, data.values[idx] @ rows.T
 
 
 def _alpha_nll(alpha: float, dist: np.ndarray, rows: np.ndarray, ytilde: np.ndarray) -> float:
@@ -154,24 +169,21 @@ def estimate_alpha(
     """Fractal index by golden-section search on the summed block likelihood.
 
     The search interval is (ALPHA_FLOOR, alpha_max]; the contrast degree
-    is floor(alpha_max / 2) so one contrast matrix serves every candidate
-    alpha.  The blocks must be translates of one another, as partition_grid
-    makes them, so the kernel matrix and its factorization are computed
-    once per candidate.  A given stats dict gets the number of candidates
-    scored (alpha_evals) and of those whose likelihood was +inf
+    is contrast_degree(alpha_max, block) so one contrast matrix serves every
+    candidate alpha.  The blocks must be translates of one another, as
+    partition_grid makes them, so the kernel matrix and its factorization
+    are computed once per candidate.  A given stats dict gets the number of
+    candidates scored (alpha_evals) and of those whose likelihood was +inf
     (alpha_infeasible).
     """
     if alpha_max <= ALPHA_FLOOR:
         raise ValueError("alpha_max must exceed the search floor 0.05")
-    rel, values = _shared_blocks(data, partition.blocks)
-    rows = increment_matrix(rel, int(np.floor(alpha_max / 2.0))).rows
+    rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
     dist = np.abs(rel[:, None] - rel[None, :])
-    ystack = np.column_stack([rows @ v for v in values])
-
     scores = []
 
     def total(alpha: float) -> float:
-        scores.append(_alpha_nll(alpha, dist, rows, ystack))
+        scores.append(_alpha_nll(alpha, dist, rows, ytilde.T))
         return scores[-1]
 
     lo, hi = ALPHA_FLOOR, float(alpha_max)
@@ -230,14 +242,9 @@ _STENCIL = np.array(
 _EVAL_ROWS = 64
 
 
-def _clip_to_cap(mu: complex) -> complex:
-    if abs(mu) <= MU_CAP:
-        return mu
-    scale = MU_CAP / abs(mu)
-    # the rescaled modulus can round to just above the cap
-    while abs(mu * scale) > MU_CAP:
-        scale = np.nextafter(scale, 0.0)
-    return mu * scale
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # hypot, as Python's abs() of a complex uses; np.abs can round differently
+    return np.hypot(z.real, z.imag)
 
 
 def _mu_from_x(x):
@@ -252,9 +259,12 @@ def _mu_from_x(x):
     mu = np.atleast_1d(
         np.where(r == 0.0, 0.0 + 0.0j, np.tanh(r) * np.exp(1j * np.arctan2(t2, t1)))
     )
-    # only a modulus at the cap can need the clip
-    for k in np.flatnonzero(np.abs(mu) > MU_CAP - 1e-12):
-        mu.flat[k] = _clip_to_cap(complex(mu.flat[k]))
+    over = _modulus(mu) > MU_CAP
+    scale = MU_CAP / _modulus(mu[over])
+    # the rescaled modulus can round to just above the cap
+    while np.any(high := _modulus(mu[over] * scale) > MU_CAP):
+        scale[high] = np.nextafter(scale[high], 0.0)
+    mu[over] *= scale
     return complex(mu[0]) if x.ndim == 1 else mu
 
 
@@ -408,30 +418,25 @@ def _newton_lockstep(fun, x0: np.ndarray):
 def _fit_blocks(
     z: np.ndarray,
     rows: np.ndarray,
-    values: np.ndarray,
+    ytilde: np.ndarray,
     alpha: float,
     stats: dict | None = None,
 ):
     """Anisotropy fits of blocks that share within-block sites z.
 
-    values holds one block per row.  The Newton searches of all blocks start
-    at mu = 0 and run in lockstep on the lag table of z.  Returns mu, phi and
-    loglik per block, and per block the reason it has no estimate (None when
-    it has one).
+    ytilde holds the contrasts rows @ values of one block per row.  The
+    Newton searches of all blocks start at mu = 0 and run in lockstep on the
+    lag table of z.  Returns mu, phi and loglik per block, and per block the
+    reason it has no estimate (None when it has one).
     """
-    n_blocks = values.shape[0]
+    n_blocks = ytilde.shape[0]
     mu = np.full(n_blocks, complex(np.nan, np.nan))
     phi = np.full(n_blocks, np.nan)
     loglik = np.full(n_blocks, np.nan)
-    reason = [None] * n_blocks
-    ytilde = values @ rows.T
+    reason = np.full(n_blocks, None, dtype=object)
     signal = np.all(np.isfinite(ytilde), axis=1) & (np.sum(ytilde**2, axis=1) >= 1e-24)
-    for k in np.flatnonzero(~signal):
-        reason[k] = "degenerate neighborhood: contrasts carry no signal"
+    reason[~signal] = "degenerate neighborhood: contrasts carry no signal"
     fit = np.flatnonzero(signal)
-    if fit.size == 0:
-        return mu, phi, loglik, reason
-
     table = _lag_table(z, rows)
     ytilde = ytilde[fit]
     x, fval, nfev, iters = _newton_lockstep(
@@ -444,14 +449,13 @@ def _fit_blocks(
             np.sum(iters >= _MAX_ITER)
         )
     _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x)
-    for row, k in enumerate(fit):
-        if not np.isfinite(fval[row]):
-            reason[k] = "anisotropy likelihood infeasible at mu = 0"
-            continue
-        mu[k] = _mu_from_x(x[row])
-        stretch = s_hat[row] ** (1.0 / alpha)
-        phi[k] = np.clip(stretch * np.sqrt(1.0 - abs(mu[k]) ** 2), *_PHI_BOUNDS)
-        loglik[k] = -float(fval[row])
+    found = np.isfinite(fval)
+    reason[fit[~found]] = "anisotropy likelihood infeasible at mu = 0"
+    done = fit[found]
+    mu[done] = _mu_from_x(x[found])
+    stretch = s_hat[found] ** (1.0 / alpha)
+    phi[done] = np.clip(stretch * np.sqrt(1.0 - _modulus(mu[done]) ** 2), *_PHI_BOUNDS)
+    loglik[done] = -fval[found]
     return mu, phi, loglik, reason
 
 
@@ -471,14 +475,10 @@ class DilatationScaleField:
         return np.isin(self.status, (STATUS_OK, STATUS_IMPUTED))
 
     def to_csv(self, path: str) -> None:
-        lines = ["cx,cy,mu_re,mu_im,phi,loglik,status"]
-        for k in range(self.centers.size):
-            lines.append(
-                f"{float(self.centers[k].real)!r},{float(self.centers[k].imag)!r},"
-                f"{float(self.mu[k].real)!r},{float(self.mu[k].imag)!r},"
-                f"{float(self.phi[k])!r},{float(self.loglik[k])!r},{self.status[k]}"
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        c, mu = self.centers, self.mu
+        numbers = np.column_stack((c.real, c.imag, mu.real, mu.imag, self.phi, self.loglik))
+        lines = [",".join([*map(repr, row), s]) for row, s in zip(numbers.tolist(), self.status)]
+        atomic_write_text(path, "\n".join(["cx,cy,mu_re,mu_im,phi,loglik,status", *lines]) + "\n")
 
     @classmethod
     def from_csv(cls, path: str, alpha_used: float, geometry: dict | None = None):
@@ -486,7 +486,7 @@ class DilatationScaleField:
             lines = [(n, ln.strip()) for n, ln in enumerate(handle, start=1) if ln.strip()]
         if not lines or lines[0][1] != "cx,cy,mu_re,mu_im,phi,loglik,status":
             raise ArtifactError(f"{path}: not a dilatation/scale CSV")
-        rows = []
+        numbers, status = [], []
         for number, line in lines[1:]:
             row = line.split(",")
             if len(row) != 7:
@@ -506,12 +506,11 @@ class DilatationScaleField:
                     f"{path}: line {number}: a block with status {row[6]} needs "
                     "a finite center, |mu| < 1 and phi > 0"
                 )
-            rows.append(values + row[6:])
-        centers = np.array([r[0] + 1j * r[1] for r in rows])
-        mu = np.array([r[2] + 1j * r[3] for r in rows])
-        phi = np.array([r[4] for r in rows])
-        loglik = np.array([r[5] for r in rows])
-        status = np.array([r[6] for r in rows], dtype=object)
+            numbers.append(values)
+            status.append(row[6])
+        cx, cy, mu_re, mu_im, phi, loglik = np.array(numbers).reshape(-1, 6).T.copy()
+        centers, mu = cx + 1j * cy, mu_re + 1j * mu_im
+        status = np.array(status, dtype=object)
         return cls(centers, mu, phi, loglik, status, alpha_used, geometry or {})
 
 
@@ -525,9 +524,9 @@ def estimate_field(
 ) -> DilatationScaleField:
     """Per-block anisotropy estimates over a whole partition.
 
-    The contrasts have degree floor(alpha_max / 2), as in estimate_alpha.
-    The blocks must be translates of one another, as partition_grid makes
-    them, so one lag table serves every block (6.4 MB at block 10, growing
+    The contrasts have degree contrast_degree(alpha_max, block), as in
+    estimate_alpha.  The blocks must be translates of one another, as
+    partition_grid makes them, so one lag table serves every block (6.4 MB at block 10, growing
     as block^6: 81 MB at 15, 0.47 GB at 20).  Every block is fitted by a
     damped Newton search from mu = 0 on finite differences of the profiled
     likelihood, and the searches of all blocks advance together with one
@@ -537,15 +536,12 @@ def estimate_field(
     stencils and step trials included) and the fits that used all
     _MAX_ITER iterations (fits_at_maxiter).
     """
-    rel, values = _shared_blocks(data, partition.blocks)
-    rows = increment_matrix(rel, int(np.floor(alpha_max / 2.0))).rows
-    mu, phi, loglik, reason = _fit_blocks(rel, rows, values, alpha_hat, stats)
-    for k, why in enumerate(reason):
-        if why is not None:
-            log.warning("block %d marked missing: %s", k, why)
-    status = np.array(
-        [STATUS_OK if why is None else STATUS_MISSING for why in reason], dtype=object
-    )
+    rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
+    mu, phi, loglik, reason = _fit_blocks(rel, rows, ytilde, alpha_hat, stats)
+    missing = np.not_equal(reason, None)
+    for k in np.flatnonzero(missing):
+        log.warning("block %d marked missing: %s", k, reason[k])
+    status = np.where(missing, STATUS_MISSING, STATUS_OK).astype(object)
     return DilatationScaleField(
         centers=partition.centers.copy(),
         mu=mu,

@@ -158,8 +158,8 @@ def _positive(value, kinds) -> bool:
 def _meta_alpha(meta: dict, path: str) -> float:
     """The fractal index a stage's sidecar, read from path, records as alpha."""
     alpha = meta.get("alpha")
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ArtifactError(f"{path}: key 'alpha' is missing or not a number")
+    if not _positive(alpha, (int, float)):
+        raise ArtifactError(f"{path}: key 'alpha' is missing or not a finite positive number")
     return float(alpha)
 
 

@@ -94,6 +94,25 @@ def test_out_of_range_setting_exits_two(tmp_path, capsys, field, value):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("block, alpha_max", [(3, 8.0), (10, 40.0)])
+def test_contrast_degree_beyond_the_block_exits_two(tmp_path, capsys, block, alpha_max):
+    # floor(alpha_max / 2) >= 2 (block - 1): the block holds no contrast of that degree
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, out_dir=str(tmp_path / "out"), block=block, alpha_max=alpha_max)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha_max must be below {4 * (block - 1)} for block = {block}")
+    assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_contrast_degree_that_fits_the_block_validates(tmp_path):
+    # degree 3 on a 3 x 3 block leaves one contrast
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path, block=3, alpha_max=7.9)
+    read_config(str(path))  # parse_config validates
+
+
 def test_negative_seed_override_exits_two(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     _mini_cfg_file(path, out_dir=str(tmp_path / "out"))
@@ -388,8 +407,11 @@ def test_truncated_meta_exits_four(tmp_path, capsys, corrupt, message):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda meta: meta.pop("alpha"), "key 'alpha' is missing or not a number"),
-        (lambda meta: meta.update(alpha="n/a"), "key 'alpha' is missing or not a number"),
+        (lambda meta: meta.pop("alpha"), "key 'alpha' is missing or not a finite positive number"),
+        (
+            lambda meta: meta.update(alpha="n/a"),
+            "key 'alpha' is missing or not a finite positive number",
+        ),
         (lambda meta: meta["geometry"].pop("nbx"), "key 'geometry.nbx' is missing"),
         (lambda meta: meta["geometry"].pop("spacing"), "key 'geometry.spacing' is missing"),
         (
@@ -422,24 +444,39 @@ def test_incomplete_estimates_meta_exits_four(tmp_path, capsys, corrupt, message
         lambda meta: meta.update(alpha=None),
         lambda meta: meta.update(alpha="abc"),
         lambda meta: meta.update(alpha=[1]),
+        lambda meta: meta.update(alpha=math.nan),
+        lambda meta: meta.update(alpha=math.inf),
+        lambda meta: meta.update(alpha=-math.inf),
+        lambda meta: meta.update(alpha=0),
     ],
-    ids=["no-alpha", "alpha-null", "alpha-string", "alpha-list"],
+    ids=[
+        "no-alpha", "alpha-null", "alpha-string", "alpha-list",
+        "NaN", "Infinity", "-Infinity", "0",
+    ],
 )
 def test_bad_reconstruct_meta_alpha_exits_four(tmp_path, capsys, corrupt):
+    # reconstruct refuses the alpha of estimates_meta.json, and evaluate that
+    # of reconstruct_meta.json; json writes NaN and Infinity as bare words
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"
     _mini_cfg_file(path, out_dir=str(out))
     for stage in ("simulate", "estimate", "reconstruct"):
         assert main([stage, "--config", str(path)]) == 0
-    meta = json.loads((out / "reconstruct_meta.json").read_text())
-    corrupt(meta)
-    (out / "reconstruct_meta.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert main(["evaluate", "--config", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o failure: ")
-    assert "reconstruct_meta.json: key 'alpha' is missing or not a number" in err
-    assert err.count("\n") == 1
+    for name, stage in (
+        ("estimates_meta.json", "reconstruct"),
+        ("reconstruct_meta.json", "evaluate"),
+    ):
+        good = (out / name).read_text()
+        meta = json.loads(good)
+        corrupt(meta)
+        (out / name).write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ")
+        assert f"{name}: key 'alpha' is missing or not a finite positive number" in err
+        assert err.count("\n") == 1
+        (out / name).write_text(good)
     assert not (out / "report.csv").exists()
 
 

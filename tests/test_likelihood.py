@@ -27,6 +27,7 @@ from deformfield.likelihood import (
     _profiled_nll,
     _shared_blocks,
     DilatationScaleField,
+    contrast_degree,
     estimate_alpha,
     estimate_field,
     partition_grid,
@@ -62,6 +63,26 @@ def test_partition_counts_and_centers():
     assert idx[0] == 0 and idx[-1] == 9 * 30 + 9
 
 
+def test_partition_matches_the_double_loop_formula():
+    # every block and center, bit for bit, on a lattice with partial blocks
+    nx, ny, block, origin, spacing = 23, 37, 5, (-0.3, 1.7), (0.013, 0.029)
+    part = partition_grid(nx, ny, block, origin=origin, spacing=spacing)
+    nbx, nby = nx // block, ny // block
+    assert part.blocks.shape == (nbx * nby, block * block)
+    half = (block - 1) / 2.0
+    for bx in range(nbx):
+        for by in range(nby):
+            ii = np.arange(bx * block, (bx + 1) * block)
+            jj = np.arange(by * block, (by + 1) * block)
+            k = bx * nby + by
+            assert np.array_equal(part.blocks[k], (ii[:, None] * ny + jj[None, :]).ravel())
+            center = complex(
+                origin[0] + (bx * block + half) * spacing[0],
+                origin[1] + (by * block + half) * spacing[1],
+            )
+            assert part.centers[k].real == center.real and part.centers[k].imag == center.imag
+
+
 def test_partition_drops_partial_blocks():
     part = partition_grid(25, 25, 10)
     assert part.n_blocks == 4
@@ -84,12 +105,16 @@ def test_partition_validation():
 def test_mu_from_search_coordinates_stays_under_cap():
     # far-out search coordinates clip to the cap; the rescaled modulus must
     # not round above it, and a value the plain rescaling already kept under
-    # the cap stays bit-identical
+    # the cap stays bit-identical; the whole sweep as one array gives the
+    # per-point values bit for bit
     clipped = 0
+    points, values = [], []
     for r in (8.0, 10.0, 20.0):
         for a in np.linspace(-np.pi, np.pi, 2001):
             x = np.array([r * np.cos(a), r * np.sin(a)])
             mu = _mu_from_x(x)
+            points.append(x)
+            values.append(mu)
             assert MU_CAP - 1e-15 <= abs(mu) <= MU_CAP
             plain = np.tanh(np.hypot(*x)) * np.exp(1j * np.arctan2(x[1], x[0]))
             plain *= MU_CAP / abs(plain)
@@ -98,6 +123,8 @@ def test_mu_from_search_coordinates_stays_under_cap():
             else:
                 clipped += 1
     assert clipped > 0  # the sweep reaches the rounding case
+    batch = _mu_from_x(np.array(points))
+    assert np.array_equal(batch.view(np.float64), np.array(values).view(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +216,8 @@ def test_fit_blocks_recovers_planted_anisotropy():
     rng = np.random.default_rng(12)
     # fabricate block values consistent with the drawn contrasts, one block per row
     values = np.stack([L.rows.T @ (chol @ rng.standard_normal(chol.shape[0])) for _ in range(24)])
-    mus, phis, _, reason = _fit_blocks(z, L.rows, values, alpha)
-    assert reason == [None] * 24
+    mus, phis, _, reason = _fit_blocks(z, L.rows, values @ L.rows.T, alpha)
+    assert list(reason) == [None] * 24
     assert abs(np.mean(mus) - mu_true) < 0.1
     assert abs(np.median(np.log(phis / phi_true))) < 0.25
 
@@ -299,10 +326,7 @@ def _block_contrasts():
     model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     data = _simulated_field(20, model, seed=7, tile=20)
     part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
-    rel, values = _shared_blocks(data, part.blocks)
-    rows = increment_matrix(rel, 2).rows
-    ytilde = np.stack([rows @ v for v in values])
-    return rel, rows, ytilde
+    return _shared_blocks(data, part, 4.0)  # degree 2
 
 
 # Rough fields, as in the benchmark configs.  For smooth kernels Sigma_1 is
@@ -383,8 +407,7 @@ def test_estimate_field_matches_scipy_multistart_oracle():
     part = partition_grid(30, 30, 10, spacing=(0.01, 0.01))
     data.values[part.blocks[4]] = 0.25  # a constant block has no contrast signal
     field = estimate_field(data, part, 0.7)
-    rel, _ = _shared_blocks(data, part.blocks)
-    rows = increment_matrix(rel, 2).rows
+    rel, rows, _ = _shared_blocks(data, part, 4.0)  # degree 2, as estimate_field's default
     for k, block in enumerate(part.blocks):
         ytilde = rows @ data.values[block]
         oracle = _oracle_fit(rel, rows, ytilde, 0.7)
@@ -413,3 +436,32 @@ def test_estimate_field_rejects_blocks_that_are_not_translates(estimate):
     data.locations[0] += 1e-5 + 1e-5j
     with pytest.raises(ValueError, match="translates"):
         estimate(data, part)
+
+
+def test_shared_blocks_rejects_a_ragged_partition():
+    # blocks given as a list of index arrays, the last one a site short
+    model = CovarianceModel.powered_exponential(1.0, 1.0, 0.9)
+    data = _simulated_field(20, model, seed=2)
+    part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
+    part.blocks = [*part.blocks[:-1], part.blocks[-1][:-1]]
+    with pytest.raises(ValueError, match="translates"):
+        _shared_blocks(data, part, 4.0)
+
+
+def test_contrast_degree_needs_room_in_the_block():
+    # a b x b block holds contrasts of degree d iff d < 2 (b - 1), as the rank
+    # of its monomial basis says
+    assert contrast_degree(7.9, 3) == 3
+    for alpha_max, block in ((8.0, 3), (40.0, 10)):
+        with pytest.raises(ValueError, match=f"alpha_max must be below {4 * (block - 1)}"):
+            contrast_degree(alpha_max, block)
+    for block in (3, 4, 5, 10):
+        sites = _lattice_sites(block)
+        rel = sites - sites.mean()  # centered, as _shared_blocks gives them
+        top = 2 * (block - 1) - 1
+        assert contrast_degree(2.0 * top + 1.9, block) == top
+        assert increment_matrix(rel, top).n_contrasts == 1
+        with pytest.raises(ValueError):
+            contrast_degree(2.0 * top + 2.0, block)
+        with pytest.raises(ValueError, match="smaller than polynomial space"):
+            increment_matrix(rel, top + 1)
