@@ -9,12 +9,10 @@ itself up to a rigid motion.
 
 from .config import PipelineConfig, parse_config, read_config, write_config
 from .conformal import (
-    DiskTransform,
     HarmonicFit,
     compose_estimate,
     distance_d1,
     distance_d2,
-    embed_to_disk,
     fit_log_scale,
     integrate_hprime,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "DeformFieldError",
     "DeformationSpec",
     "DilatationScaleField",
-    "DiskTransform",
     "EllipseParams",
     "EstimationError",
     "FlowError",
@@ -99,7 +96,6 @@ __all__ = [
     "covariance_eval",
     "distance_d1",
     "distance_d2",
-    "embed_to_disk",
     "empirical_variogram",
     "estimate_alpha",
     "estimate_field",

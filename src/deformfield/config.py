@@ -13,20 +13,20 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, OrientationError
+import numpy as np
+
+from .errors import ArtifactError, ConfigError, OrientationError
 from .fields import (
-    MATERN,
     MAX_EXACT_SIM,
-    POLY_FRACTIONAL,
     POWERED_EXPONENTIAL,
     CovarianceModel,
     DeformationSpec,
+    apply_deformation,
     simulation_blocks,
 )
-from .grids import atomic_write_text
+from .grids import ComplexGrid, Grid, atomic_write_text, read_grd
 from .likelihood import ALPHA_FLOOR, contrast_degree
 
-_FAMILIES = (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL)
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")
 
 
@@ -70,10 +70,6 @@ class PipelineConfig:
     threads: int = 1  # accepted for older configs; no stage reads it
 
     def validate(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
-            )
         if self.deform not in _DEFORM_KINDS:
             raise ConfigError(
                 f"unknown deform {self.deform!r}; expected one of {', '.join(_DEFORM_KINDS)}"
@@ -157,7 +153,21 @@ class PipelineConfig:
             self.origin_y + (self.grid_ny - 1) * self.spacing_y,
         )
 
+    def observation_grid(self) -> Grid:
+        """The observation lattice, zero-valued: simulate writes field.grd on it."""
+        nx, ny = self.grid_nx, self.grid_ny
+        origin, spacing = (self.origin_x, self.origin_y), (self.spacing_x, self.spacing_y)
+        return Grid(nx, ny, origin, spacing, np.zeros((nx, ny)))
+
+    def flow_grid(self) -> ComplexGrid:
+        """The m x m flow lattice over domain(), zero-valued: reconstruct writes its maps on it."""
+        m = self.flow_lattice
+        x0, x1, y0, y1 = self.domain()
+        spacing = ((x1 - x0) / (m - 1), (y1 - y0) / (m - 1))
+        return ComplexGrid(m, m, (x0, y0), spacing, np.zeros((m, m), dtype=np.complex128))
+
     def build_deformation(self) -> DeformationSpec:
+        """The true deformation; a grid map its file cannot serve raises ArtifactError."""
         domain = self.domain()
         if self.deform == "identity":
             return DeformationSpec.identity(domain=domain)
@@ -171,10 +181,14 @@ class PipelineConfig:
                 b=complex(self.affine_b_re, self.affine_b_im),
                 domain=domain,
             )
-        from .grids import read_grd
-
         grid = read_grd(self.deform_path)
-        return DeformationSpec.grid_map(grid)
+        x0, x1, y0, y1 = domain
+        try:
+            spec = DeformationSpec.grid_map(grid)
+            apply_deformation(spec, [complex(x0, y0), complex(x1, y1)])  # covers the lattice
+        except (ValueError, OrientationError) as exc:
+            raise ArtifactError(f"{self.deform_path}: deform = grid_map: {exc}") from None
+        return spec
 
     def config_hash(self) -> str:
         """Provenance tag over everything that can change the artifacts.

@@ -23,45 +23,10 @@ log = logging.getLogger(__name__)
 GAUSS_NODES = 32  # Gauss-Legendre nodes of the one panel from 0 to each point
 
 
-@dataclass(frozen=True)
-class DiskTransform:
-    """Affine chart w -> (w - center) / radius into the unit disk."""
-
-    center: complex
-    radius: float
-
-    def forward(self, points) -> np.ndarray:
-        return (np.asarray(points, dtype=np.complex128) - self.center) / self.radius
-
-    def inverse(self, w) -> np.ndarray:
-        return self.center + self.radius * np.asarray(w, dtype=np.complex128)
-
-
-def embed_to_disk(points) -> tuple[np.ndarray, DiskTransform]:
-    """Map a point cloud into the open unit disk.
-
-    The chart centers on the bounding-box center and uses radius
-    1.05 * (largest distance to it), so every image has modulus
-    at most 1/1.05 < 1.
-    """
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size == 0:
-        raise ValueError("no points to embed")
-    center = complex(
-        0.5 * (pts.real.min() + pts.real.max()),
-        0.5 * (pts.imag.min() + pts.imag.max()),
-    )
-    reach = float(np.max(np.abs(pts - center)))
-    radius = 1.05 * reach if reach > 0 else 1.0
-    transform = DiskTransform(center, radius)
-    return transform.forward(pts), transform
-
-
 @dataclass
 class HarmonicFit:
     """Least-squares fit of Re log h'(w) = a_0 + sum Re(A_n w^n) on the disk."""
 
-    n_max: int
     coefficients: np.ndarray  # complex, A_0 .. A_N with Im A_0 = 0
     residual: float
     rank_deficient: bool = False
@@ -102,12 +67,7 @@ def fit_log_scale(w_points, targets, n_max: int) -> HarmonicFit:
     a = coef[: n_max + 1]
     b = np.concatenate([[0.0], coef[n_max + 1 :]])
     residual = float(np.sqrt(np.mean((design @ coef - ell) ** 2)))
-    return HarmonicFit(
-        n_max=n_max,
-        coefficients=a + 1j * b,
-        residual=residual,
-        rank_deficient=deficient,
-    )
+    return HarmonicFit(coefficients=a + 1j * b, residual=residual, rank_deficient=deficient)
 
 
 def integrate_hprime(fit: HarmonicFit, eval_points) -> np.ndarray:
@@ -125,34 +85,6 @@ def integrate_hprime(fit: HarmonicFit, eval_points) -> np.ndarray:
     return pts * np.sum(0.5 * weights * vals, axis=-1)
 
 
-def scale_correction_fit(
-    f_check: ComplexGrid,
-    phi_check: Grid,
-    field: DilatationScaleField,
-    n_max: int = 8,
-) -> tuple[HarmonicFit, DiskTransform, np.ndarray, np.ndarray]:
-    """Fit the conformal log-scale correction against estimated scales.
-
-    Targets are log(phi_hat_j) - log(phi_fcheck at the block center),
-    shifted by log(radius) of the disk chart so the chart's affine
-    rescaling is absorbed into the constant coefficient.  Returns the
-    fit, the chart, the chart images of the centers used, and the targets.
-    """
-    _, transform = embed_to_disk(f_check.values.ravel())
-    ok = field.ok_mask()
-    centers = field.centers[ok]
-    phi_hat = field.phi[ok]
-    w_centers = grid_sample(f_check, centers)
-    phi_flow = grid_sample(phi_check, centers)
-    good = np.isfinite(phi_hat) & (phi_hat > 0) & (phi_flow > 0)
-    targets = (
-        np.log(phi_hat[good]) - np.log(phi_flow[good]) + np.log(transform.radius)
-    )
-    w_disk = transform.forward(w_centers[good])
-    fit = fit_log_scale(w_disk, targets, n_max)
-    return fit, transform, w_disk, targets
-
-
 def compose_estimate(
     f_check: ComplexGrid,
     phi_check: Grid,
@@ -163,21 +95,37 @@ def compose_estimate(
 ) -> ComplexGrid:
     """Postcompose the reconstructed map with the fitted conformal factor.
 
-    Returns the corrected map h(chart(f_check)) on f_check's lattice.
-    The correction is analytic, so the dilatation field of the result
-    matches that of f_check; only local scales change.  A given stats dict
-    gets the RMS residual of the log-scale fit (harmonic_residual) and
-    whether its design was rank deficient (harmonic_rank_deficient).
+    The disk chart w -> (w - center) / radius centers on the bounding box
+    of f_check's values, with radius 1.05 x the largest distance to that
+    center, so every image has modulus at most 1/1.05.  The targets
+    log(phi_hat_j) - log(phi_check at the block center) are shifted by
+    log(radius), which absorbs the chart's rescaling into the constant
+    coefficient.  Returns the corrected map h(chart(f_check)) on f_check's
+    lattice.  The correction is analytic, so the dilatation field of the
+    result matches that of f_check; only local scales change.  A given
+    stats dict gets the RMS residual of the log-scale fit
+    (harmonic_residual) and whether its design was rank deficient
+    (harmonic_rank_deficient).
     """
-    fit, transform, _, _ = scale_correction_fit(f_check, phi_check, field, n_max)
+    pts = f_check.values.ravel()
+    center = complex(
+        0.5 * (pts.real.min() + pts.real.max()),
+        0.5 * (pts.imag.min() + pts.imag.max()),
+    )
+    reach = float(np.max(np.abs(pts - center)))
+    radius = 1.05 * reach if reach > 0 else 1.0
+    ok = field.ok_mask()
+    phi_hat = field.phi[ok]
+    w_centers = grid_sample(f_check, field.centers[ok])
+    phi_flow = grid_sample(phi_check, field.centers[ok])
+    good = np.isfinite(phi_hat) & (phi_hat > 0) & (phi_flow > 0)
+    targets = np.log(phi_hat[good]) - np.log(phi_flow[good]) + np.log(radius)
+    fit = fit_log_scale((w_centers[good] - center) / radius, targets, n_max)
     if stats is not None:
         stats["harmonic_residual"] = fit.residual
         stats["harmonic_rank_deficient"] = fit.rank_deficient
-    w_all = transform.forward(f_check.values.ravel())
-    corrected = integrate_hprime(fit, w_all).reshape(f_check.nx, f_check.ny)
-    return ComplexGrid(
-        f_check.nx, f_check.ny, f_check.origin, f_check.spacing, corrected
-    )
+    corrected = integrate_hprime(fit, (pts - center) / radius)
+    return f_check.with_values(corrected.reshape(f_check.nx, f_check.ny))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +161,7 @@ def distance_d2(mu_hat: ComplexGrid, f_true: DeformationSpec) -> float:
     lattice, with the same finite differences as any estimate, and the
     Riemann sum is normalized by the domain area.
     """
-    truth_vals = apply_deformation(f_true, mu_hat.locations()).reshape(
-        mu_hat.nx, mu_hat.ny
-    )
-    truth_grid = ComplexGrid(
-        mu_hat.nx, mu_hat.ny, mu_hat.origin, mu_hat.spacing, truth_vals
-    )
-    mu_true, _ = numeric_dilatation(truth_grid)
+    truth = apply_deformation(f_true, mu_hat.locations()).reshape(mu_hat.nx, mu_hat.ny)
+    mu_true, _ = numeric_dilatation(mu_hat.with_values(truth))
     gap = np.abs(mu_hat.values[1:-1, 1:-1] - mu_true.values[1:-1, 1:-1])
     return float(np.sqrt(np.mean(gap**2)))

@@ -109,8 +109,10 @@ class CovarianceModel:
         # The family is built from range (powered-exponential, matern) or from
         # c (polynomial-plus-fractional); the other is derived only once every
         # rule below holds, over whatever was passed (the classmethods pass None).
-        if self.family not in (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL):
-            raise ValueError(f"unknown covariance family {self.family!r}")
+        families = (POWERED_EXPONENTIAL, MATERN, POLY_FRACTIONAL)
+        if self.family not in families:
+            expected = ", ".join(families)
+            raise ValueError(f"unknown family {self.family!r}; expected one of {expected}")
         given, derived = ("c", "range") if self.family == POLY_FRACTIONAL else ("range", "c")
         for name in ("variance", given, "alpha"):
             value = getattr(self, name)
@@ -540,9 +542,7 @@ def numeric_dilatation(
     safe = np.where(det > 0, det, np.nan)
     mu = np.where(det > 0, dzb / np.where(dz == 0, 1.0, dz), 0.0)
     phi = np.sqrt(np.where(np.isnan(safe), 1.0, safe))
-    mu_grid = ComplexGrid(fmap.nx, fmap.ny, fmap.origin, fmap.spacing, mu)
-    phi_grid = Grid(fmap.nx, fmap.ny, fmap.origin, fmap.spacing, phi)
-    return mu_grid, phi_grid
+    return fmap.with_values(mu), Grid(fmap.nx, fmap.ny, fmap.origin, fmap.spacing, phi)
 
 
 # ---------------------------------------------------------------------------

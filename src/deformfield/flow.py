@@ -210,10 +210,7 @@ def reconstruct_map(
     eps = 1.0 / steps
     for _ in range(steps):
         state = flow_step(state, eps, mu_star)
-    values = state.points.reshape(mu_star.nx, mu_star.ny)
-    f_check = ComplexGrid(
-        mu_star.nx, mu_star.ny, mu_star.origin, mu_star.spacing, values
-    )
+    f_check = mu_star.with_values(state.points.reshape(mu_star.nx, mu_star.ny))
     mu_check, phi = numeric_dilatation(f_check, interior_only=True)
     if stats is not None:
         gap = np.abs(mu_check.values - mu_star.values)

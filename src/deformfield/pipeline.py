@@ -69,26 +69,27 @@ def _read_meta(path: str, cfg: PipelineConfig, force: bool) -> dict:
     return meta
 
 
-def _read_grid(out_dir: str, name: str, complex_values: bool) -> Grid:
-    """The grid artifact out_dir/name, which must hold complex (or real) values."""
+def _read_grid(out_dir: str, name: str, lattice: Grid) -> Grid:
+    """The grid artifact out_dir/name, which must have the kind and lattice of lattice."""
     path = os.path.join(out_dir, name)
     grid = read_grd(path)
-    if isinstance(grid, ComplexGrid) != complex_values:
-        raise ArtifactError(f"{path}: expected {'complex' if complex_values else 'real'} values")
+    if isinstance(grid, ComplexGrid) != isinstance(lattice, ComplexGrid):
+        kind = "complex" if isinstance(lattice, ComplexGrid) else "real"
+        raise ArtifactError(f"{path}: expected {kind} values")
+    want = (lattice.nx, lattice.ny, lattice.origin, lattice.spacing)
+    got = (grid.nx, grid.ny, grid.origin, grid.spacing)
+    if got != want:
+        raise ArtifactError(f"{path}: expected (nx, ny, origin, spacing) {want}, got {got}")
     return grid
 
 
 def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
     """Draw one deformed-field realization on the observation lattice."""
     cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     model = cfg.build_model()
     deform = cfg.build_deformation()
-    nx, ny = cfg.grid_nx, cfg.grid_ny
-    lattice = Grid(
-        nx, ny, (cfg.origin_x, cfg.origin_y), (cfg.spacing_x, cfg.spacing_y),
-        np.zeros((nx, ny)),
-    )
+    os.makedirs(out_dir, exist_ok=True)
+    lattice = cfg.observation_grid()
     blocks = cfg.sim_tiles()
     if blocks is not None:
         log.info("simulating %d independent tiles of side %d", len(blocks), cfg.sim_block)
@@ -97,7 +98,7 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
     stats: dict = {}
     sample = simulate_isotropic(model, latent, cfg.seed, blocks=blocks, stats=stats)
     sample = add_noise(sample, cfg.noise_fraction, cfg.seed)
-    grid = lattice.with_values(sample.values.reshape(nx, ny))
+    grid = lattice.with_values(sample.values.reshape(lattice.nx, lattice.ny))
     write_grd(grid, os.path.join(out_dir, "field.grd"))
     _write_meta(
         os.path.join(out_dir, "field_meta.json"),
@@ -118,7 +119,7 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     """Estimate the fractal index and blockwise dilatation/scale field."""
     cfg.validate()
     _read_meta(os.path.join(out_dir, "field_meta.json"), cfg, force)
-    grid = _read_grid(out_dir, "field.grd", complex_values=False)
+    grid = _read_grid(out_dir, "field.grd", cfg.observation_grid())
     data = SampleField(grid.locations(), grid.values.ravel())
     partition = partition_grid(
         grid.nx, grid.ny, cfg.block, origin=grid.origin, spacing=grid.spacing
@@ -193,12 +194,9 @@ def stage_reconstruct(cfg: PipelineConfig, out_dir: str, force: bool = False) ->
     stats: dict = {}
     smoothed = smooth_dilatation(est, cfg.smooth_window, stats=stats)
 
-    m = cfg.flow_lattice
-    x0, x1, y0, y1 = cfg.domain()
-    spacing = ((x1 - x0) / (m - 1), (y1 - y0) / (m - 1))
-    mu_star = ComplexGrid(m, m, (x0, y0), spacing, np.zeros((m, m), dtype=np.complex128))
-    mu_vals = interpolate_dilatation(smoothed, mu_star.locations(), stats=stats)
-    mu_star = mu_star.with_values(mu_vals.reshape(m, m))
+    lattice = cfg.flow_grid()
+    mu_vals = interpolate_dilatation(smoothed, lattice.locations(), stats=stats)
+    mu_star = lattice.with_values(mu_vals.reshape(lattice.nx, lattice.ny))
     write_grd(mu_star, os.path.join(out_dir, "mustar.grd"))
 
     f_check, phi_check = reconstruct_map(mu_star, steps=cfg.flow_steps, stats=stats)
@@ -277,8 +275,8 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> di
     cfg.validate()
     path = os.path.join(out_dir, "reconstruct_meta.json")
     alpha = _meta_alpha(_read_meta(path, cfg, force), path)
-    f_hat = _read_grid(out_dir, "fhat.grd", complex_values=True)
-    field_grid = _read_grid(out_dir, "field.grd", complex_values=False)
+    f_hat = _read_grid(out_dir, "fhat.grd", cfg.flow_grid())
+    field_grid = _read_grid(out_dir, "field.grd", cfg.observation_grid())
     truth = cfg.build_deformation()
     d1 = distance_d1(f_hat, truth, sample_count=cfg.d1_samples, seed=cfg.seed)
     mu_grid, _ = numeric_dilatation(f_hat, interior_only=True)

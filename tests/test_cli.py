@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from deformfield.cli import main
@@ -344,28 +345,95 @@ def test_short_estimates_row_exits_four(tmp_path, capsys, corrupt, message):
     assert err.count("\n") == 1
 
 
+def _flipped(grid):
+    if isinstance(grid, ComplexGrid):
+        return Grid(grid.nx, grid.ny, grid.origin, grid.spacing, grid.values.real)
+    return ComplexGrid(grid.nx, grid.ny, grid.origin, grid.spacing, grid.values)
+
+
+def _cut(nx, ny):
+    return lambda grid: type(grid)(nx, ny, grid.origin, grid.spacing, grid.values[:nx, :ny])
+
+
+def _moved(grid):
+    shifted = (grid.origin[0] + 0.5, grid.origin[1] + 0.5)
+    return type(grid)(grid.nx, grid.ny, shifted, grid.spacing, grid.values)
+
+
+_STAGE_OUTPUT = {"estimate": "estimates.csv", "evaluate": "report.csv"}
+
+
 @pytest.mark.parametrize(
-    "name, stages",
-    [("field.grd", ["estimate", "evaluate"]), ("fhat.grd", ["evaluate"])],
-    ids=["complex-field", "real-map"],
+    "name, stages, change",
+    [
+        ("field.grd", ["estimate", "evaluate"], _flipped),
+        ("fhat.grd", ["evaluate"], _flipped),
+        ("field.grd", ["estimate", "evaluate"], _cut(1, 40)),
+        ("field.grd", ["estimate", "evaluate"], _cut(8, 8)),
+        ("fhat.grd", ["evaluate"], _moved),
+        ("fhat.grd", ["evaluate"], _cut(1, 16)),
+        ("fhat.grd", ["evaluate"], _cut(2, 2)),
+    ],
+    ids=["complex-field", "real-map", "field-1x40", "field-8x8", "map-moved", "map-1x16",
+         "map-2x2"],
 )
-def test_wrong_grid_kind_exits_four(tmp_path, capsys, name, stages):
+def test_wrong_grid_kind_exits_four(tmp_path, capsys, name, stages, change):
+    # a grid of the wrong kind or off the configured lattice (40x40 sites,
+    # a 16x16 flow lattice) is refused, forced or not, by every stage that
+    # reads it, and that stage writes nothing
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"
-    _mini_cfg_file(path, out_dir=str(out))
+    _mini_cfg_file(path, out_dir=str(out), grid_nx=40, grid_ny=40, block=5)
     assert main(["pipeline", "--config", str(path)]) == 0
-    grid = read_grd(str(out / name))
-    if isinstance(grid, ComplexGrid):
-        flipped = Grid(grid.nx, grid.ny, grid.origin, grid.spacing, grid.values.real)
-    else:
-        flipped = ComplexGrid(grid.nx, grid.ny, grid.origin, grid.spacing, grid.values)
-    write_grd(flipped, str(out / name))
+    write_grd(change(read_grd(str(out / name))), str(out / name))
     for stage in stages:
+        (out / _STAGE_OUTPUT[stage]).unlink()
+        for force in ([], ["--force"]):
+            capsys.readouterr()
+            assert main([stage, "--config", str(path), *force]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("i/o failure: ") and f"{name}: expected" in err
+            assert err.count("\n") == 1
+            assert not (out / _STAGE_OUTPUT[stage]).exists()
+
+
+def _identity_map(nx, ny, step):
+    sites = step * (np.arange(nx)[:, None] + 1j * np.arange(ny)[None, :])
+    return ComplexGrid(nx, ny, (0.0, 0.0), (step, step), sites)
+
+
+@pytest.mark.parametrize(
+    "bad_map, message",
+    [
+        (_identity_map(11, 11, 0.05), "lies outside the deformation domain"),  # [0, 0.5]^2
+        (_identity_map(1, 11, 0.1), "grid spacing must be positive"),  # the probe's
+    ],
+    ids=["half-cover", "one-row"],
+)
+def test_unusable_grid_map_exits_four(tmp_path, capsys, bad_map, message):
+    # the map file is read by simulate and evaluate; one it cannot serve on
+    # the [0, 1]^2 lattice stops either stage with one line naming the file
+    # and writes nothing
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    deform_path = str(tmp_path / "map.grd")
+    _mini_cfg_file(
+        path, out_dir=str(out), deform="grid_map", deform_path=deform_path,
+        spacing_x=1.0 / 29.0, spacing_y=1.0 / 29.0,
+    )
+    write_grd(_identity_map(11, 11, 0.1), deform_path)
+    assert main(["pipeline", "--config", str(path)]) == 0
+    write_grd(bad_map, deform_path)
+    for stage, output in (("evaluate", "report.csv"), ("simulate", "field.grd")):
+        (out / output).unlink()
         capsys.readouterr()
         assert main([stage, "--config", str(path)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("i/o failure: ") and f"{name}: expected" in err
-        assert err.count("\n") == 1
+        assert err.startswith(f"i/o failure: {deform_path}: deform = grid_map: ")
+        assert message in err and err.count("\n") == 1
+        assert not (out / output).exists()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "new")]) == 4
+    assert not (tmp_path / "new").exists()  # no empty run directory is left behind
 
 
 def test_missing_estimates_row_exits_four(tmp_path, capsys):

@@ -7,10 +7,8 @@ from deformfield.conformal import (
     compose_estimate,
     distance_d1,
     distance_d2,
-    embed_to_disk,
     fit_log_scale,
     integrate_hprime,
-    scale_correction_fit,
 )
 from deformfield.fields import (
     DeformationSpec,
@@ -47,32 +45,6 @@ def _field_with_phi(n, block, phi_fn):
         alpha_used=0.7,
         geometry=part.geometry,
     )
-
-
-# ---------------------------------------------------------------------------
-# Disk chart
-
-
-def test_embed_square_corners():
-    pts = np.array([0.0, 1.0, 1.0j, 1.0 + 1.0j])
-    w, tr = embed_to_disk(pts)
-    assert tr.center == 0.5 + 0.5j
-    assert tr.radius == pytest.approx(1.05 * np.sqrt(0.5), abs=1e-15)
-    assert np.max(np.abs(w)) == pytest.approx(1.0 / 1.05, abs=1e-12)
-
-
-def test_embed_single_point():
-    w, tr = embed_to_disk([2.0 + 3.0j])
-    assert w[0] == 0.0
-    assert tr.radius == 1.0
-
-
-def test_embed_round_trip():
-    rng = np.random.default_rng(13)
-    pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    w, tr = embed_to_disk(pts)
-    assert np.max(np.abs(tr.inverse(w) - pts)) < 1e-14
-    assert np.all(np.abs(w) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +104,6 @@ def test_fit_validation():
 def _fit_with(coefs):
     fit = fit_log_scale([0.1, 0.2j, -0.3], [0.0, 0.0, 0.0], 1)
     fit.coefficients = np.asarray(coefs, dtype=np.complex128)
-    fit.n_max = len(coefs) - 1
     return fit
 
 
@@ -183,6 +154,18 @@ def test_compose_matched_scales_is_translation():
     assert np.max(np.abs(gap)) < 1e-6
 
 
+def test_compose_charts_the_bounding_box_and_absorbs_the_radius():
+    # with matched scales the fit is the constant log(radius), so h(w) is
+    # radius * w and the result is f_check moved by its bounding-box center
+    n = 21
+    base = _unit_square_grid(n)
+    f_check = base.with_values(2.0 * base.values + (3.0 - 1.0j))  # spans [3, 5] x [-1, 1]
+    phi_check = Grid(n, n, base.origin, base.spacing, np.ones((n, n)))
+    field = _field_with_phi(n, 7, lambda c: 1.0)
+    out = compose_estimate(f_check, phi_check, field, n_max=4)
+    assert np.max(np.abs(out.values - (f_check.values - 4.0))) < 1e-12
+
+
 def test_compose_restores_pure_scaling():
     # truth 2z with a flow output stuck at the identity: the fitted factor
     # must supply the missing doubling
@@ -209,19 +192,6 @@ def test_compose_preserves_dilatation():
     mu_out, _ = numeric_dilatation(out)
     gap = np.abs(mu_in.values[2:-2, 2:-2] - mu_out.values[2:-2, 2:-2])
     assert np.max(gap) < 0.01
-
-
-def test_scale_correction_fit_shapes():
-    n = 21
-    f_check = _unit_square_grid(n)
-    phi_check = Grid(n, n, f_check.origin, f_check.spacing, np.ones((n, n)))
-    field = _field_with_phi(n, 7, lambda c: 1.5)
-    fit, transform, w_disk, targets = scale_correction_fit(f_check, phi_check, field, 3)
-    assert w_disk.shape == targets.shape == (9,)
-    assert np.all(np.abs(w_disk) < 1.0)
-    # constant target: log 1.5 plus the chart radius absorbed in a_0
-    expect = np.log(1.5) + np.log(transform.radius)
-    assert np.max(np.abs(targets - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
