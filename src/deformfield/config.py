@@ -25,7 +25,7 @@ from .fields import (
     simulation_blocks,
 )
 from .grids import ComplexGrid, Grid, atomic_write_text, read_grd
-from .likelihood import ALPHA_FLOOR, contrast_degree
+from .likelihood import ALPHA_FLOOR, NeighborhoodPartition, contrast_degree, partition_grid
 
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")
 
@@ -158,6 +158,15 @@ class PipelineConfig:
         nx, ny = self.grid_nx, self.grid_ny
         origin, spacing = (self.origin_x, self.origin_y), (self.spacing_x, self.spacing_y)
         return Grid(nx, ny, origin, spacing, np.zeros((nx, ny)))
+
+    def partition(self) -> NeighborhoodPartition:
+        """The estimation blocks of the observation lattice.
+
+        estimate fits them, and reconstruct refuses estimates made on others.
+        """
+        origin, spacing = (self.origin_x, self.origin_y), (self.spacing_x, self.spacing_y)
+        nx, ny = self.grid_nx, self.grid_ny
+        return partition_grid(nx, ny, self.block, origin=origin, spacing=spacing)
 
     def flow_grid(self) -> ComplexGrid:
         """The m x m flow lattice over domain(), zero-valued: reconstruct writes its maps on it."""

@@ -33,6 +33,11 @@ POLY_FRACTIONAL = "polynomial-plus-fractional"
 #: the covariance's largest diagonal entry (the variance).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
+#: Simulation tiles whose canonical sites agree within this multiple of the
+#: tile's reach (its largest distance from its first site) are congruent and
+#: share one covariance factor; see congruent_tiles.
+CONGRUENCE_TOL = 1e-12
+
 #: The Matern-form families sum K as a power series in (t / range)^2 up to
 #: t / range = SERIES_X and take special.kv beyond it, where the series'
 #: two sums cancel.  The series also gives way to kv for nu = alpha / 2
@@ -333,11 +338,15 @@ def simulate_isotropic(
     into tiles; without it all locations form one tile.  Each tile is drawn
     exactly by the factor of its dense covariance, independently of the
     others as the block likelihood assumes, and none may exceed
-    MAX_EXACT_SIM locations.  Tile k draws from SeedSequence(seed,
-    spawn_key=(k,)) and the one tile of an untiled draw from SeedSequence(seed),
-    with numpy's default PCG64, so output is reproducible across platforms
-    and evaluation orders.  A given stats dict gets the number of tiles whose
-    factor needed jitter (jittered).
+    MAX_EXACT_SIM locations.  Congruent tiles (see congruent_tiles) share
+    the factor of their group's first tile, as their site distances agree
+    within 2 * CONGRUENCE_TOL of the tile's reach; groups are drawn one
+    after another, so one factor is alive at a time.  Tile k draws from
+    SeedSequence(seed, spawn_key=(k,)) and the one tile of an untiled draw
+    from SeedSequence(seed), with numpy's default PCG64, so output is
+    reproducible across platforms and evaluation orders.  A given stats
+    dict gets the number of factors (factors) and of tiles whose factor
+    needed jitter (jittered).
     """
     locations = np.asarray(locations, dtype=np.complex128).ravel()
     n = locations.size
@@ -348,7 +357,7 @@ def simulate_isotropic(
     else:
         tiles = [((k,), np.asarray(b).ravel()) for k, b in enumerate(blocks)]
         cover = np.concatenate([idx for _, idx in tiles])
-        if not np.array_equal(np.sort(cover), np.arange(n)):
+        if not np.array_equal(np.sort(cover), np.arange(n)) or not all(i.size for _, i in tiles):
             raise ValueError("blocks must partition all location indices exactly")
     largest = max(idx.size for _, idx in tiles)
     if largest > MAX_EXACT_SIM:
@@ -356,14 +365,49 @@ def simulate_isotropic(
             f"a tile of {largest} locations exceeds the exact-simulation cap "
             f"{MAX_EXACT_SIM}; pass blocks= whose tiles fit the cap"
         )
+    groups = congruent_tiles(locations, [idx for _, idx in tiles])
     values = np.empty(n)
-    for key, idx in tiles:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-        # one expression, so no tile's factor outlives its draw
-        values[idx] = cholesky_with_jitter(
-            _covariance_matrix(model, locations[idx]), stats=stats
-        ) @ rng.standard_normal(idx.size)
+    for members in groups:
+        jitter: dict = {}
+        factor = cholesky_with_jitter(
+            _covariance_matrix(model, locations[tiles[members[0]][1]]), stats=jitter
+        )
+        for key, idx in (tiles[k] for k in members):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            values[idx] = factor @ rng.standard_normal(idx.size)
+        del factor  # before the next group's covariance is built
+        if jitter and stats is not None:
+            stats["jittered"] = stats.get("jittered", 0) + len(members)
+    if stats is not None:
+        stats["factors"] = stats.get("factors", 0) + len(groups)
     return SampleField(locations, values)
+
+
+def congruent_tiles(locations: np.ndarray, tiles: list[np.ndarray]) -> list[list[int]]:
+    """Group tiles whose sites are proper rigid motions of each other, site for site.
+
+    Each tile's sites z are written as w = (z - z[0]) * conj(u), where u is
+    the unit vector from its first site to its last (1 if they coincide).
+    A tile joins the first earlier group whose first tile has as many sites
+    and whose w agree with its own within CONGRUENCE_TOL * max|w|, site by
+    site; by the triangle inequality every pairwise distance then agrees
+    within twice that.  Mirror images, tiles of another size and tiles
+    whose sites come in another order start groups of their own.  Returns
+    the tile positions of each group, groups in order of their first tile.
+    """
+    groups: list[tuple[np.ndarray, float, list[int]]] = []
+    for k, idx in enumerate(tiles):
+        w = locations[idx] - locations[idx[0]]
+        reach = abs(w[-1])
+        if reach > 0:
+            w *= np.conj(w[-1]) / reach
+        for first, tol, members in groups:
+            if first.size == w.size and np.max(np.abs(w - first)) <= tol:
+                members.append(k)
+                break
+        else:
+            groups.append((w, CONGRUENCE_TOL * float(np.max(np.abs(w))), [k]))
+    return [members for _, _, members in groups]
 
 
 def simulation_blocks(nx: int, ny: int, max_side: int) -> list[np.ndarray]:

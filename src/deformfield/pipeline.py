@@ -35,7 +35,7 @@ from .grids import (
     write_grd,
 )
 from .likelihood import STATUS_IMPUTED, STATUS_MISSING, DilatationScaleField, estimate_alpha
-from .likelihood import estimate_field, partition_grid
+from .likelihood import estimate_field
 from .svgplots import ellipse_field_svg, scatter_svg, warped_grid_svg
 
 log = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
             "noise_fraction": cfg.noise_fraction,
             "sim_tiles": 0 if blocks is None else len(blocks),
             # deterministic counts only: reruns must stay byte-identical
-            "counts": {"tiles_jittered": stats.get("jittered", 0)},
+            "counts": {"factors": stats["factors"], "tiles_jittered": stats.get("jittered", 0)},
         },
     )
     return grid
@@ -121,9 +121,7 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     _read_meta(os.path.join(out_dir, "field_meta.json"), cfg, force)
     grid = _read_grid(out_dir, "field.grd", cfg.observation_grid())
     data = SampleField(grid.locations(), grid.values.ravel())
-    partition = partition_grid(
-        grid.nx, grid.ny, cfg.block, origin=grid.origin, spacing=grid.spacing
-    )
+    partition = cfg.partition()
     stats: dict = {}
     alpha_hat = estimate_alpha(data, partition, alpha_max=cfg.alpha_max, stats=stats)
     log.info("fractal index estimate: %.4f", alpha_hat)
@@ -179,11 +177,25 @@ def _load_estimates(cfg: PipelineConfig, out_dir: str, force: bool) -> Dilatatio
     pair = isinstance(spacing, list) and len(spacing) == 2
     if not pair or not all(_positive(v, (int, float)) for v in spacing):
         raise ArtifactError(f"{path}: key 'geometry.spacing' is not a pair of positive numbers")
+    partition = cfg.partition()
+    want = {key: partition.geometry[key] for key in ("nbx", "nby", "block")}
+    want["spacing"] = list(partition.geometry["spacing"])
+    got = {key: geometry[key] for key in want}
+    if got != want:
+        raise ArtifactError(f"{path}: geometry {got}, the configured partition has {want}")
     csv = os.path.join(out_dir, "estimates.csv")
     est = DilatationScaleField.from_csv(csv, alpha_used=alpha, geometry=geometry)
     nbx, nby = geometry["nbx"], geometry["nby"]
     if est.centers.size != nbx * nby:
         raise ArtifactError(f"{csv}: {est.centers.size} blocks, {path} expects {nbx}x{nby}")
+    # centers are written by repr, so the configured ones come back exactly, in order
+    off = np.flatnonzero(est.centers != partition.centers)
+    if off.size:
+        got, want = complex(est.centers[off[0]]), complex(partition.centers[off[0]])
+        raise ArtifactError(
+            f"{csv}: line {off[0] + 2}: center ({got.real!r}, {got.imag!r}), "
+            f"the configured partition has ({want.real!r}, {want.imag!r})"
+        )
     return est
 
 

@@ -452,6 +452,53 @@ def test_missing_estimates_row_exits_four(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _center_outside(lines, meta):
+    lines[1] = _with_cells(lines[1], cx="5.0")
+
+
+def _swap_rows(lines, meta):
+    lines[2], lines[9] = lines[9], lines[2]
+
+
+def _four_blocks(lines, meta):
+    del lines[5:]
+    meta["geometry"].update(nbx=2, nby=2)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_center_outside, "estimates.csv: line 2: center (5.0, "),
+        (_swap_rows, "estimates.csv: line 3: center "),
+        (
+            lambda lines, meta: meta["geometry"].update(block=7, spacing=[0.5, 0.5]),
+            "estimates_meta.json: geometry ",
+        ),
+        (_four_blocks, "estimates_meta.json: geometry "),
+    ],
+    ids=["center-outside", "rows-swapped", "block-and-spacing", "four-of-nine-blocks"],
+)
+def test_estimates_off_the_configured_partition_exit_four(tmp_path, capsys, corrupt, message):
+    # estimates must be those of the configured 3 x 3 blocks, in order;
+    # reconstruct refuses others, forced or not, and writes no map
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["estimate", "--config", str(path)]) == 0
+    lines = (out / "estimates.csv").read_text().splitlines()
+    meta = json.loads((out / "estimates_meta.json").read_text())
+    corrupt(lines, meta)
+    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    (out / "estimates_meta.json").write_text(json.dumps(meta))
+    for force in ([], ["--force"]):
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(path), *force]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ") and message in err and err.count("\n") == 1
+        assert not (out / "fhat.grd").exists()
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [

@@ -23,6 +23,7 @@ from deformfield.fields import (
     add_noise,
     apply_deformation,
     cholesky_with_jitter,
+    congruent_tiles,
     covariance_eval,
     empirical_variogram,
     g_alpha,
@@ -392,6 +393,12 @@ def test_simulation_counts_jittered_tiles():
     assert stats.get("jittered", 0) == 0
     simulate_isotropic(m, twice, 0, blocks=[[0, 1, 2, 4, 5, 6, 7], [3, 8]], stats=stats)
     assert stats["jittered"] == 1
+    # two congruent tiles with the repeated site share one jittered factor,
+    # and each of them counts
+    stats = {}
+    blocks = [np.arange(9), np.arange(9, 18)]
+    simulate_isotropic(m, np.concatenate([twice, twice + 4.0]), 0, blocks=blocks, stats=stats)
+    assert stats == {"factors": 1, "jittered": 2}
 
 
 @pytest.mark.parametrize(
@@ -415,22 +422,105 @@ def test_simulation_exact_cap(monkeypatch, blocks):
 
 def test_draws_are_the_factor_times_the_seeded_normals():
     # an untiled draw is the one tile drawn from SeedSequence(seed); tile k
-    # of a tiled draw draws from SeedSequence(seed, spawn_key=(k,))
+    # of a tiled draw draws from SeedSequence(seed, spawn_key=(k,)) by the
+    # factor of the first tile of its congruence group
     m = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     ax = np.arange(8) / 7.0
     sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
 
-    def draw(z, seq):
-        normals = np.random.default_rng(seq).standard_normal(z.size)
-        return cholesky_with_jitter(_covariance_matrix(m, z)) @ normals
+    def factor(z):
+        return cholesky_with_jitter(_covariance_matrix(m, z))
+
+    def normals(seq, size):
+        return np.random.default_rng(seq).standard_normal(size)
 
     got = simulate_isotropic(m, sites, 5).values
-    assert np.array_equal(got, draw(sites, np.random.SeedSequence(5)))
+    assert np.array_equal(got, factor(sites) @ normals(np.random.SeedSequence(5), sites.size))
     blocks = simulation_blocks(8, 8, 4)
+    groups = congruent_tiles(sites, blocks)
+    assert groups == [[0, 2], [1, 3]]  # tiles a shift in x apart are rotated copies
     got = simulate_isotropic(m, sites, 5, blocks=blocks).values
-    for k, idx in enumerate(blocks):
-        want = draw(sites[idx], np.random.SeedSequence(5, spawn_key=(k,)))
-        assert np.array_equal(got[idx], want)
+    for members in groups:
+        shared = factor(sites[blocks[members[0]]])
+        for k in members:
+            idx = blocks[k]
+            z = normals(np.random.SeedSequence(5, spawn_key=(k,)), idx.size)
+            assert np.array_equal(got[idx], shared @ z)
+            own = factor(sites[idx]) @ z
+            if k == members[0]:
+                assert np.array_equal(got[idx], own)
+            assert np.max(np.abs(got[idx] - own)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "deform, factors", [(DeformationSpec.rotational(), 2), (DeformationSpec.identity(), 1)]
+)
+def test_congruent_tiles_share_one_factor(deform, factors):
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
+    ax = np.arange(8) / 7.0
+    sites = apply_deformation(deform, (ax[:, None] + 1j * ax).ravel())
+    stats = {}
+    simulate_isotropic(m, sites, 0, blocks=simulation_blocks(8, 8, 4), stats=stats)
+    assert stats == {"factors": factors}
+
+
+def _square_and_translate(move=0.0):
+    # a 4 x 4 tile of diameter sqrt(2) and its translate, one site moved by move
+    ax = np.arange(4) / 3.0
+    tile = (ax[:, None] + 1j * ax).ravel()
+    moved = tile + 2.0
+    moved[5] += move
+    return np.concatenate([tile, moved]), [np.arange(16), np.arange(16, 32)]
+
+
+def _mirror_and_motion():
+    # a mirror image keeps the distances but is not a proper rigid motion
+    rng = np.random.default_rng(4)
+    tile = rng.uniform(0, 1, 12) + 1j * rng.uniform(0, 1, 12)
+    sites = np.concatenate([tile, np.conj(tile) + 3.0, tile * np.exp(0.7j) - 2.0j])
+    return sites, [np.arange(12), np.arange(12, 24), np.arange(24, 36)]
+
+
+def _uneven_lattice():
+    # 11 rows in tiles of 4: the last tile row merges 7 rows, so only the
+    # full tiles are translates of tile 0
+    xs, ys = np.arange(11) / 10.0, np.arange(8) / 10.0
+    return (xs[:, None] + 1j * ys).ravel(), simulation_blocks(11, 8, 4)
+
+
+@pytest.mark.parametrize(
+    "case, groups",
+    [
+        (_square_and_translate, [[0, 1]]),
+        (lambda: _square_and_translate(1e-9 * np.sqrt(2.0)), [[0], [1]]),
+        (_mirror_and_motion, [[0, 2], [1]]),
+        (_uneven_lattice, [[0, 1], [2, 3]]),
+    ],
+    ids=["translate", "one-site-moved-1e-9", "mirror", "merged-remainder"],
+)
+def test_congruent_tiles_match_every_site(case, groups):
+    sites, blocks = case()
+    assert congruent_tiles(sites, blocks) == groups
+
+
+def test_one_factor_is_alive_at_a_time():
+    # two tiles that are not congruent: the first factor is released before
+    # the second covariance is built, so the peak stays near one tile's
+    # assembly (1.5 n^2 doubles) instead of adding a factor (2.5 n^2)
+    rng = np.random.default_rng(6)
+    n = 600
+    sites = rng.uniform(0, 1, 2 * n) + 1j * rng.uniform(0, 1, 2 * n)
+    blocks = [np.arange(n), np.arange(n, 2 * n)]
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
+    stats = {}
+    tracemalloc.start()
+    try:
+        simulate_isotropic(m, sites, 0, blocks=blocks, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == {"factors": 2}
+    assert peak < 2.0 * n * n * 8
 
 
 def test_simulation_blocks_partition_and_determinism():
@@ -455,6 +545,8 @@ def test_simulation_blocks_must_partition():
         simulate_isotropic(m, pts, 0, blocks=[np.array([0, 1, 2])])
     with pytest.raises(ValueError):
         simulate_isotropic(m, pts, 0, blocks=[np.array([0, 1, 2, 3, 4, 4, 5])])
+    with pytest.raises(ValueError, match="partition"):
+        simulate_isotropic(m, pts, 0, blocks=[np.arange(6), np.array([], dtype=int)])
 
 
 def test_add_noise_contract():
