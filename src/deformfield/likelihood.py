@@ -232,12 +232,16 @@ _PHI_BOUNDS = (1e-3, 1e3)
 # on iterations and on step halvings per iteration.
 _STEP, _XTOL, _MAX_ITER, _MAX_HALVINGS = 1e-3, 1e-6, 50, 30
 
-# the 8-point central-difference stencil: +-e1, +-e2 and the four diagonals
-_STENCIL = np.array(
-    [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64
-)
+# A whole Newton step shorter than this, once accepted, ends its search:
+# near the optimum each step is within a small factor of the square of the
+# one before, so the next would fall below _XTOL.
+_CONVERGED_STEP = 3e-4
 
-# Likelihood rows per batched evaluation.  Each row holds one m x m factor
+# the symmetric 6-point stencil +-e1, +-e2, +-(e1 + e2): with the centre it
+# gives every first and second derivative to second order
+_STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], dtype=np.float64)
+
+# Distinct search points per batched evaluation.  Each holds one m x m factor
 # (70 kB at block 10), so a call stays within a few MB.
 _EVAL_ROWS = 64
 
@@ -319,18 +323,22 @@ def _profiled_nll(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiled negative log likelihood and scale at search points x.
 
-    Row i scores point x[i] on the contrasts ytilde[which[i]].  The value
-    is +inf where LAPACK cannot factorize Sigma_1.
+    Row i scores point x[i] on the contrasts ytilde[which[i]].  Rows at the
+    same point share one Sigma_1, one factor and one triangular solve of all
+    their contrasts; only the quadratic form and the log determinant are
+    kept per row.  The value is +inf where LAPACK cannot factorize Sigma_1.
     """
     m = ytilde.shape[1]
-    nll = np.full(len(which), np.inf)
-    s_hat = np.ones(len(which))
+    points, point_of = np.unique(x, axis=0, return_inverse=True)
+    order = np.argsort(point_of.ravel(), kind="stable")
+    edges = np.searchsorted(point_of.ravel()[order], np.arange(len(points) + 1))
+    quad = np.zeros(len(which))  # a point LAPACK refuses keeps quad = 0 and scores +inf
+    logdet = np.zeros(len(which))
     # one buffer for every chunk: fresh pages would be faulted in each time
-    buffer = np.empty((min(len(which), _EVAL_ROWS), m, m))
+    buffer = np.empty((min(len(points), _EVAL_ROWS), m, m))
     h, h_conj = table.lags, np.conj(table.lags)
-    for start in range(0, len(which), _EVAL_ROWS):
-        part = slice(start, start + _EVAL_ROWS)
-        mu = _mu_from_x(x[part])
+    for start in range(0, len(points), _EVAL_ROWS):
+        mu = _mu_from_x(points[start : start + _EVAL_ROWS])
         upper = g_alpha(alpha, np.abs(h + mu[:, None] * h_conj)) @ table.weights
         # row j of the upper triangle is one contiguous run; in each C-ordered
         # slab it is column j of the lower triangle of the transposed slab, a
@@ -340,19 +348,17 @@ def _profiled_nll(
         for j in range(m):
             slabs[:, j, j:] = upper[:, at : at + m - j]
             at += m - j
-        diag = np.ones((upper.shape[0], m))
-        w = np.zeros((upper.shape[0], m))  # a row LAPACK refuses keeps w = 0 and scores +inf
-        for r, k in enumerate(which[part]):
-            factor, info = dpotrf(slabs[r].T, lower=1, clean=0, overwrite_a=1)
+        for point, slab in enumerate(slabs, start):
+            factor, info = dpotrf(slab.T, lower=1, clean=0, overwrite_a=1)
             if info == 0:
-                w[r] = dtrtrs(factor, ytilde[k], lower=1)[0]
-                diag[r] = np.diagonal(factor)
-        quad = np.sum(w * w, axis=1)
-        ok = quad > 0
-        s_hat[start + np.flatnonzero(ok)] = s = quad[ok] / m
-        nll[start + np.flatnonzero(ok)] = (
-            np.sum(np.log(diag[ok]), axis=1) + 0.5 * m * np.log(s) + 0.5 * m
-        )
+                rows = order[edges[point] : edges[point + 1]]
+                w = dtrtrs(factor, ytilde[which[rows]].T, lower=1)[0].T
+                quad[rows] = np.sum(w * w, axis=1)
+                logdet[rows] = np.sum(np.log(np.diagonal(factor)))
+    ok = quad > 0
+    s_hat = np.where(ok, quad / m, 1.0)
+    nll = np.full(len(which), np.inf)
+    nll[ok] = logdet[ok] + 0.5 * m * np.log(s_hat[ok]) + 0.5 * m
     return nll, s_hat
 
 
@@ -360,15 +366,17 @@ def _newton_lockstep(fun, x0: np.ndarray):
     """Damped Newton descents from every row of x0 (searches x 2), in lockstep.
 
     fun(search, points) returns the objective at points[i] for search
-    search[i].  Each iteration scores the stencil of step _STEP around every
-    active search in one call, and takes the gradient and the 2 x 2 Hessian
-    from it by central differences.  A Hessian that is not positive definite
-    is shifted by twice its lowest eigenvalue (plus a small floor), which
-    mirrors negative curvature.  The Newton step is then halved, one call per
-    round and at most _MAX_HALVINGS times, until the objective does not rise.
-    A search stops when its accepted move is below _XTOL, when no halving
-    helps, when its stencil is not finite, or after _MAX_ITER iterations; a
-    start where fun is +inf does not move.
+    search[i].  Each iteration scores the 6-point stencil of step _STEP
+    around every active search in one call, and takes the gradient and the
+    2 x 2 Hessian from it by central differences, all to second order.  A
+    Hessian that is not positive definite is shifted by twice its lowest
+    eigenvalue (plus a small floor), which mirrors negative curvature.  The
+    Newton step is then halved, one call per round and at most _MAX_HALVINGS
+    times, until the objective does not rise; a step shorter than _XTOL is
+    not scored.  A search stops when it accepts no move of at least _XTOL,
+    when it accepts a whole Newton step shorter than _CONVERGED_STEP, when
+    its stencil is not finite, or after _MAX_ITER iterations; a start where
+    fun is +inf does not move.
 
     Returns the final points and values, and the evaluations and iterations
     of every search.
@@ -378,17 +386,19 @@ def _newton_lockstep(fun, x0: np.ndarray):
     nfev = np.ones(len(x), dtype=int)
     iters = np.zeros(len(x), dtype=int)
     go = np.flatnonzero(np.isfinite(f))
+    ring_size = len(_STENCIL)
     while go.size:
         iters[go] += 1
-        ring = fun(np.repeat(go, 8), (x[go, None] + _STEP * _STENCIL).reshape(-1, 2))
-        ring = ring.reshape(go.size, 8)
-        nfev[go] += 8
+        ring = fun(np.repeat(go, ring_size), (x[go, None] + _STEP * _STENCIL).reshape(-1, 2))
+        ring = ring.reshape(go.size, ring_size)
+        nfev[go] += ring_size
         with np.errstate(invalid="ignore"):  # a stencil point at +inf
             g1 = (ring[:, 0] - ring[:, 1]) / (2.0 * _STEP)
             g2 = (ring[:, 2] - ring[:, 3]) / (2.0 * _STEP)
             a = (ring[:, 0] - 2.0 * f[go] + ring[:, 1]) / _STEP**2
             c = (ring[:, 2] - 2.0 * f[go] + ring[:, 3]) / _STEP**2
-            b = (ring[:, 4] - ring[:, 5] - ring[:, 6] + ring[:, 7]) / (4.0 * _STEP**2)
+            # the curvature along e1 + e2 is a + 2 b + c
+            b = 0.5 * ((ring[:, 4] - 2.0 * f[go] + ring[:, 5]) / _STEP**2 - a - c)
             rad = np.hypot(0.5 * (a - c), b)
             lo, hi = 0.5 * (a + c) - rad, 0.5 * (a + c) + rad
             shift = np.maximum(0.0, 1e-6 * np.maximum(np.abs(hi), 1.0) - 2.0 * lo)
@@ -396,8 +406,9 @@ def _newton_lockstep(fun, x0: np.ndarray):
             det = a * c - b * b
             step = -np.column_stack([c * g1 - b * g2, a * g2 - b * g1]) / det[:, None]
         size = np.hypot(step[:, 0], step[:, 1])
+        newton = size.copy()
         move = np.zeros(go.size)
-        trying = np.flatnonzero(np.isfinite(size))
+        trying = np.flatnonzero(np.isfinite(size) & (size >= _XTOL))
         for _ in range(_MAX_HALVINGS + 1):
             if trying.size == 0:
                 break
@@ -411,7 +422,8 @@ def _newton_lockstep(fun, x0: np.ndarray):
             step[trying] *= 0.5
             size[trying] *= 0.5
             trying = trying[size[trying] >= _XTOL]  # a shorter move would stop the search
-        go = go[(move >= _XTOL) & (iters[go] < _MAX_ITER)]
+        converged = (move == newton) & (move < _CONVERGED_STEP)
+        go = go[(move >= _XTOL) & ~converged & (iters[go] < _MAX_ITER)]
     return x, f, nfev, iters
 
 
@@ -528,13 +540,15 @@ def estimate_field(
     estimate_alpha.  The blocks must be translates of one another, as
     partition_grid makes them, so one lag table serves every block (6.4 MB at block 10, growing
     as block^6: 81 MB at 15, 0.47 GB at 20).  Every block is fitted by a
-    damped Newton search from mu = 0 on finite differences of the profiled
-    likelihood, and the searches of all blocks advance together with one
-    batched likelihood evaluation per stencil or step trial.  Blocks whose
-    likelihood degenerates are marked missing rather than aborting the
-    sweep.  A given stats dict gets the likelihood evaluations (nll_evals,
-    stencils and step trials included) and the fits that used all
-    _MAX_ITER iterations (fits_at_maxiter).
+    damped Newton search from mu = 0 on 6-point finite differences of the
+    profiled likelihood (see _newton_lockstep), and the searches of all
+    blocks advance together with one batched likelihood evaluation per
+    stencil or step trial, in which blocks at the same search point share
+    one factor.  Blocks whose likelihood degenerates are marked missing
+    rather than aborting the sweep.  A given stats dict gets the likelihood
+    evaluations (nll_evals: the starts, stencil points and step trials of
+    at least _XTOL) and the fits that used all _MAX_ITER iterations
+    (fits_at_maxiter).
     """
     rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
     mu, phi, loglik, reason = _fit_blocks(rel, rows, ytilde, alpha_hat, stats)

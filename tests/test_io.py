@@ -240,10 +240,11 @@ def test_estimate_meta_counts_repeat(tmp_path):
         "alpha_infeasible",
     }
     assert counts["blocks_ok"] == 9 and counts["blocks_missing"] == 0
-    # one Newton search per block: the start, then per iteration an 8-point
-    # stencil and between 1 and 1 + _MAX_HALVINGS step trials
-    assert 9 * (1 + 8 + 1) <= counts["nll_evals"] <= 9 * (
-        1 + _MAX_ITER * (8 + 1 + _MAX_HALVINGS)
+    # one Newton search per block: the start, then per iteration a 6-point
+    # stencil and at most 1 + _MAX_HALVINGS step trials (none for a step
+    # shorter than _XTOL)
+    assert 9 * (1 + 6) <= counts["nll_evals"] <= 9 * (
+        1 + _MAX_ITER * (6 + 1 + _MAX_HALVINGS)
     )
     assert 0 <= counts["fits_at_maxiter"] <= 9
     assert counts["alpha_evals"] >= 2

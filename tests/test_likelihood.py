@@ -322,6 +322,81 @@ def test_newton_lockstep_descends():
     assert np.all(iters < 50)
 
 
+def test_newton_lockstep_at_the_minimum_scores_one_stencil():
+    # the gradient there is at rounding level, so the Newton step is below
+    # _XTOL and is not scored: the start and one 6-point stencil
+    start = np.linalg.solve([[2.0, 0.5], [0.5, 4.0]], [6.0, 8.0])[None, :]
+    x, f, nfev, iters = _newton_lockstep(lambda ids, pts: _walled_bowl(pts), start)
+    assert np.array_equal(x, start) and f[0] == _walled_bowl(start[0])
+    assert nfev[0] == 7 and iters[0] == 1
+
+
+def _quartic_bowl(ids, pts):
+    return _walled_bowl(pts) + 0.1 * pts[:, 0] ** 4
+
+
+def _whole_steps(calls):
+    """Length and acceptance of each iteration's whole Newton step, from the
+    (points, values) calls of a one-search _newton_lockstep run."""
+    (point,), (value,) = calls[0]
+    steps, whole = [], False
+    for pts, vals in calls[1:]:
+        if len(pts) > 1:  # a stencil: the next call tries the whole step
+            whole = True
+            continue
+        if whole:
+            steps.append((float(np.hypot(*(pts[0] - point))), bool(vals[0] <= value)))
+        whole = False
+        if vals[0] <= value:
+            point, value = pts[0], vals[0]
+    return steps
+
+
+def test_newton_lockstep_stops_on_a_short_whole_step():
+    calls = []
+
+    def recorded(ids, pts):
+        calls.append((pts.copy(), _quartic_bowl(ids, pts)))
+        return calls[-1][1].copy()  # the search writes into the values it is given
+
+    x, f, nfev, iters = _newton_lockstep(recorded, np.zeros((1, 2)))
+    steps = _whole_steps(calls)
+    assert len(steps) == iters[0] >= 3 and nfev[0] == sum(len(p) for p, _ in calls)
+    # the search ends on the first accepted whole step below _CONVERGED_STEP
+    assert steps[-1][1] and steps[-1][0] < likelihood._CONVERGED_STEP
+    assert all(not ok or size >= likelihood._CONVERGED_STEP for size, ok in steps[:-1])
+    assert np.array_equal(x[0], calls[-1][0][0]) and f[0] == calls[-1][1][0]
+
+
+def test_newton_lockstep_goes_on_after_a_short_halved_step():
+    # trials more than 2e-4 from the stencil centre are refused, so from 1e-3
+    # away every accepted move is a halved step below _CONVERGED_STEP; only
+    # a whole step that short ends the search
+    want = np.linalg.solve([[2.0, 0.5], [0.5, 4.0]], [6.0, 8.0])
+    centre = []
+
+    def short_leash(ids, pts):
+        if len(pts) == len(likelihood._STENCIL):
+            centre[:] = [0.5 * (pts[0] + pts[1])]
+        elif centre and np.hypot(*(pts[0] - centre[0])) > 2e-4:
+            return np.array([np.inf])
+        return _walled_bowl(pts)
+
+    x, _, _, iters = _newton_lockstep(short_leash, (want + [1e-3, 0.0])[None, :])
+    assert np.max(np.abs(x[0] - want)) <= 1e-6 and iters[0] >= 5
+
+
+def test_newton_lockstep_converged_stop_keeps_the_optimum(monkeypatch):
+    # each of these searches ends on a whole step below _CONVERGED_STEP
+    starts = np.array([[0.0, 0.0], [5.0, -4.0], [1.0, 3.0]])
+    x, f, nfev, _ = _newton_lockstep(_quartic_bowl, starts)
+    monkeypatch.setattr(likelihood, "_CONVERGED_STEP", 0.0)
+    x_full, f_full, nfev_full, _ = _newton_lockstep(_quartic_bowl, starts)
+    assert np.max(np.abs(x - x_full)) <= 1e-6
+    assert np.all(f - f_full <= 1e-10)
+    assert np.all(nfev < nfev_full)
+
+
 def _block_contrasts():
     model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     data = _simulated_field(20, model, seed=7, tile=20)
@@ -334,21 +409,35 @@ def _block_contrasts():
 # the two assemblies, both within 1e-13 of an extended-precision Sigma_1,
 # then agree only to 1e-9 (1e-7 near the cap).
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
-def test_lag_table_objective_matches_sandwich_formula(alpha):
+def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
     rel, rows, ytilde = _block_contrasts()
     table = _lag_table(rel, rows)
     assert table.lags.size == (19 * 19 - 1) // 2
     rng = np.random.default_rng(11)
     x = rng.normal(scale=0.8, size=(40, 2))
-    # |mu| = 0.999 and the largest modulus the search can reach
-    x = np.vstack([x, [[np.arctanh(0.999), 0.2]], [[-20.0, 7.0]]])
+    # |mu| = 0.999, the largest modulus the search can reach, and point 3
+    # three more times: rows 3, 42, 43 and 44 score blocks 3, 2, 3 and 0
+    x = np.vstack([x, [[np.arctanh(0.999), 0.2]], [[-20.0, 7.0]], x[[3, 3, 3]]])
     which = np.arange(x.shape[0]) % ytilde.shape[0]
+    factors = []
+
+    def counting(*args, **kwargs):
+        factors.append(1)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "dpotrf", counting)
     nll, s_hat = _profiled_nll(table, ytilde, alpha, which, x)
+    assert len(factors) == 42  # one factor per distinct point
     for i in range(x.shape[0]):
         mu = _mu_from_x(x[i])
         want_nll, want_s = _sandwich_nll(rel, rows, ytilde[which[i]], alpha, mu)
         assert nll[i] == pytest.approx(want_nll, rel=1e-10), (i, mu)
         assert s_hat[i] == pytest.approx(want_s, rel=1e-10), (i, mu)
+    # rows sharing a factor score as one-row calls do
+    for i in (3, 42, 43, 44):
+        one_nll, one_s = _profiled_nll(table, ytilde, alpha, which[i : i + 1], x[i : i + 1])
+        assert nll[i] == pytest.approx(one_nll[0], rel=1e-12), i
+        assert s_hat[i] == pytest.approx(one_s[0], rel=1e-12), i
 
 
 def test_lag_table_objective_is_inf_where_no_factor_exists():
