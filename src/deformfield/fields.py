@@ -265,47 +265,17 @@ class SampleField:
         return self.locations.size
 
 
-def cholesky_with_jitter(mat: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric C-ordered mat, computed in place.
+def _covariance_upper(
+    model: CovarianceModel, locations: np.ndarray, diagonal: float
+) -> np.ndarray:
+    """Covariance K(|z_i - z_j|) between complex locations, upper triangle only.
 
-    Each rung of JITTER_LADDER, in multiples of mat's largest diagonal
-    entry, is one LAPACK dpotrf on the Fortran-ordered transpose, which for
-    a symmetric mat is mat itself.  dpotrf writes only the upper triangle of
-    mat, so a failed rung is undone from the strict lower triangle and the
-    saved diagonal.  The factor shares mat's memory and is Fortran-ordered
-    with its strict upper triangle zero.  A given stats dict counts the
-    factors that needed a rung above 0 (jittered).
-    """
-    n = mat.shape[0]
-    diag = mat.diagonal().copy()
-    top = float(diag.max())
-    for rung, jitter in enumerate(JITTER_LADDER):
-        np.fill_diagonal(mat, diag + jitter * top)
-        factor, info = dpotrf(mat.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            # row by row: np.tril_indices would allocate n^2 index entries
-            for i in range(1, n):
-                mat[i, :i] = 0.0
-            if rung and stats is not None:
-                stats["jittered"] = stats.get("jittered", 0) + 1
-            return factor
-        for i in range(n - 1):
-            mat[i, i + 1 :] = mat[i + 1 :, i]
-    np.fill_diagonal(mat, diag)
-    eigs = np.linalg.eigvalsh(mat)
-    raise SimulationError(
-        f"covariance factorization failed for a {n}x{n} matrix "
-        f"even with jitter {JITTER_LADDER[-1] * top:g}; "
-        f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-    )
-
-
-def _covariance_matrix(model: CovarianceModel, locations: np.ndarray) -> np.ndarray:
-    """Dense covariance K(|z_i - z_j|) between complex locations.
-
-    K is evaluated on the upper triangle only, held row by row in one
-    buffer, and mirrored row by row; the diagonal is K(0).  Every entry is
-    bit-identical to covariance_eval on the full distance matrix.
+    K is evaluated on the strict upper triangle, held row by row in one
+    buffer, and copied row by row into a zeroed C-ordered matrix with
+    ``diagonal`` on its diagonal.  Nothing is written below it: the upper
+    triangle is the lower triangle of the Fortran-ordered transpose that
+    dpotrf reads.  Every entry above the diagonal is bit-identical to
+    covariance_eval on the full distance matrix.
     """
     n = locations.size
     upper = np.empty(n * (n - 1) // 2)  # the upper triangle row by row: distances, then K
@@ -314,14 +284,38 @@ def _covariance_matrix(model: CovarianceModel, locations: np.ndarray) -> np.ndar
         np.abs(locations[i + 1 :] - locations[i], out=upper[at : at + n - 1 - i])
         at += n - 1 - i
     upper = covariance_eval(model, upper)
-    cov = np.empty((n, n))
+    cov = np.zeros((n, n))
     at = 0
-    for i in range(n):
+    for i in range(n - 1):
         cov[i, i + 1 :] = upper[at : at + n - 1 - i]
-        cov[i, :i] = cov[:i, i]  # rows above have written column i
         at += n - 1 - i
-    np.fill_diagonal(cov, model.variance)  # K(0)
+    np.fill_diagonal(cov, diagonal)
     return cov
+
+
+def _tile_factor(model: CovarianceModel, locations: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lower Cholesky factor of a tile's covariance and the JITTER_LADDER rung it took.
+
+    Each rung builds the covariance afresh, with jitter times the variance
+    added to its diagonal, and factors it in place by one LAPACK dpotrf; a
+    failed rung's matrix is dropped, not restored.  The factor is
+    Fortran-ordered with its strict upper triangle zero.  When every rung
+    fails, the unjittered matrix is built once more for the spectrum that
+    the error reports.
+    """
+    v = model.variance
+    for rung, jitter in enumerate(JITTER_LADDER):
+        cov = _covariance_upper(model, locations, v + jitter * v)
+        factor, info = dpotrf(cov.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return factor, rung
+        del cov, factor  # before the next rung's matrix is built
+    eigs = np.linalg.eigvalsh(_covariance_upper(model, locations, v), UPLO="U")
+    raise SimulationError(
+        f"covariance factorization failed for a {locations.size}x{locations.size} matrix "
+        f"even with jitter {JITTER_LADDER[-1] * v:g}; "
+        f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+    )
 
 
 def simulate_isotropic(
@@ -368,15 +362,12 @@ def simulate_isotropic(
     groups = congruent_tiles(locations, [idx for _, idx in tiles])
     values = np.empty(n)
     for members in groups:
-        jitter: dict = {}
-        factor = cholesky_with_jitter(
-            _covariance_matrix(model, locations[tiles[members[0]][1]]), stats=jitter
-        )
+        factor, rung = _tile_factor(model, locations[tiles[members[0]][1]])
         for key, idx in (tiles[k] for k in members):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
             values[idx] = factor @ rng.standard_normal(idx.size)
         del factor  # before the next group's covariance is built
-        if jitter and stats is not None:
+        if rung and stats is not None:
             stats["jittered"] = stats.get("jittered", 0) + len(members)
     if stats is not None:
         stats["factors"] = stats.get("factors", 0) + len(groups)

@@ -2,8 +2,8 @@
 
 The target map is reached by flowing the identity: along the schedule
 mu_t = t * mu_star the tracked lattice images move with a velocity field
-whose d/dzbar equals a source term sigma_t, obtained from two Poisson
-solves with zero Dirichlet data on an enclosing box.  The source term
+whose d/dzbar equals a source term sigma_t, obtained from one complex
+Poisson solve with zero Dirichlet data on an enclosing box.  The source term
 reaches the box by linear interpolation on the triangles of the tracked
 lattice, so it is zero outside the image of the lattice.  Euler time
 stepping advances both the images and the z-derivative of the map,
@@ -58,9 +58,10 @@ def poisson_solve_dirichlet(rhs: np.ndarray, spacing: float) -> np.ndarray:
     Direct method: the interior block is diagonalized by the type-1
     discrete sine transform, so the discrete residual is at rounding
     level.  rhs is given on the full lattice; its boundary ring is
-    ignored and the returned solution carries zeros there.
+    ignored and the returned solution carries zeros there.  A complex rhs
+    gives a complex128 solution, any other a float64 one.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
     if rhs.ndim != 2 or rhs.shape[0] < 3 or rhs.shape[1] < 3:
         raise ValueError("rhs must be a lattice with at least 3 points per side")
     if spacing <= 0:
@@ -153,10 +154,10 @@ def _default_box_n(mu_star: ComplexGrid) -> int:
 def flow_step(state: FlowState, eps: float, mu_star: ComplexGrid) -> FlowState:
     """One Euler step of the reconstruction flow.
 
-    Solves lap(Psi) = 2 Re sigma and lap(Phi) = 2 Im sigma with zero
-    boundary data, assembles the velocity (u, v) = (dPhi/dy + dPsi/dx,
-    dPhi/dx - dPsi/dy), advances the tracked points by eps * (u + i v)
-    and updates dz_f multiplicatively with eps * d/dz(u + i v).
+    Solves lap(Q) = 2 sigma for Q = Psi + i Phi with zero boundary data,
+    takes the velocity w = u + i v = dQ/dx - i dQ/dy, that is
+    (u, v) = (dPhi/dy + dPsi/dx, dPhi/dx - dPsi/dy), advances the tracked
+    points by eps * w and updates dz_f multiplicatively with eps * dw/dz.
     """
     if eps <= 0:
         raise ValueError("step size must be positive")
@@ -164,13 +165,8 @@ def flow_step(state: FlowState, eps: float, mu_star: ComplexGrid) -> FlowState:
         raise ValueError(f"flow time {state.t} + {eps} would pass 1")
     sig = sigma_field(mu_star, state)
     h = sig.spacing[0]
-    psi = poisson_solve_dirichlet(2.0 * sig.values.real, h)
-    phi = poisson_solve_dirichlet(2.0 * sig.values.imag, h)
-    phi_x = np.gradient(phi, h, axis=0, edge_order=1)
-    phi_y = np.gradient(phi, h, axis=1, edge_order=1)
-    psi_x = np.gradient(psi, h, axis=0, edge_order=1)
-    psi_y = np.gradient(psi, h, axis=1, edge_order=1)
-    w = (phi_y + psi_x) + 1j * (phi_x - psi_y)
+    q = poisson_solve_dirichlet(2.0 * sig.values, h)
+    w = np.gradient(q, h, axis=0, edge_order=1) - 1j * np.gradient(q, h, axis=1, edge_order=1)
     wz = 0.5 * (
         np.gradient(w, h, axis=0, edge_order=1)
         - 1j * np.gradient(w, h, axis=1, edge_order=1)

@@ -19,10 +19,10 @@ from deformfield.fields import (
     CovarianceModel,
     DeformationSpec,
     SampleField,
-    _covariance_matrix,
+    _covariance_upper,
+    _tile_factor,
     add_noise,
     apply_deformation,
-    cholesky_with_jitter,
     congruent_tiles,
     covariance_eval,
     empirical_variogram,
@@ -220,13 +220,16 @@ def test_simulation_deterministic_per_seed():
     ],
 )
 def test_covariance_matrix_matches_elementwise_kernel(model):
-    # one distinct distance per pair (bent sites) and many repeats (lattice)
+    # one distinct distance per pair (bent sites) and many repeats (lattice);
+    # the upper triangle is the kernel's, and nothing is written below it
     ax = np.arange(12) / 11.0
     lattice = (ax[:, None] + 1j * ax[None, :]).ravel()
     bent = apply_deformation(DeformationSpec.rotational(), lattice)
     for sites in (lattice, bent):
         dist = np.abs(sites[:, None] - sites[None, :])
-        assert np.array_equal(_covariance_matrix(model, sites), covariance_eval(model, dist))
+        cov = _covariance_upper(model, sites, model.variance)
+        assert np.array_equal(np.triu(cov), np.triu(covariance_eval(model, dist)))
+        assert np.all(np.tril(cov, -1) == 0.0)
 
 
 def _matern_by_kv(model, t):
@@ -299,11 +302,11 @@ def test_small_draws_every_family(model, n):
     # tiles with no off-diagonal pair, one pair, and three pairs
     sites = np.array([0.1 + 0.2j, 0.4 + 0.2j, 0.1 + 0.7j])[:n]
     dist = np.abs(sites[:, None] - sites[None, :])
-    cov = _covariance_matrix(model, sites)
+    cov = _covariance_upper(model, sites, model.variance)
     assert cov.shape == (n, n)
     for i in range(n):
         for j in range(n):
-            assert cov[i, j] == covariance_eval(model, dist[i, j])
+            assert cov[i, j] == (covariance_eval(model, dist[i, j]) if j >= i else 0.0)
     draw = simulate_isotropic(model, sites, 5)
     assert draw.values.shape == (n,) and np.all(np.isfinite(draw.values))
 
@@ -312,14 +315,22 @@ def test_cholesky_factor_contract():
     # a 20 x 10 lattice bent by the rotational map: 200 sites
     lattice = (np.arange(20)[:, None] / 19.0 + 1j * np.arange(10)[None, :] / 9.0).ravel()
     sites = apply_deformation(DeformationSpec.rotational(), lattice)
-    cov = _covariance_matrix(CovarianceModel.matern(1.0, 0.4, 0.85), sites)
-    before = cov.copy()
-    stats = {}
-    factor = cholesky_with_jitter(cov, stats=stats)
-    assert np.shares_memory(factor, cov)  # factored in place
-    assert stats == {}  # no jitter, so L L' is the matrix itself
+    m = CovarianceModel.matern(1.0, 0.4, 0.85)
+    upper = _covariance_upper(m, sites, m.variance)
+    cov = upper + np.triu(upper, 1).T
+    built = []
+
+    def build(*args):
+        built.append(_covariance_upper(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_covariance_upper", build)
+        factor, rung = _tile_factor(m, sites)
+    assert len(built) == 1 and np.shares_memory(factor, built[0])  # factored in place
+    assert rung == 0  # no jitter, so L L' is the matrix itself
     assert np.all(np.triu(factor, 1) == 0.0)
-    assert np.max(np.abs(factor @ factor.T - before)) <= 1e-12 * np.max(np.abs(before))
+    assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
 
 
 @pytest.mark.parametrize(
@@ -343,27 +354,40 @@ def test_covariance_eval_works_in_one_copy_of_its_input(model):
 
 
 def test_cholesky_allocates_no_copy_of_the_tile():
-    sites = np.linspace(0.0, 1.0, 1000) + 0.0j
-    cov = _covariance_matrix(CovarianceModel.powered_exponential(1.0, 0.3, 1.0), sites)
-    tracemalloc.start()
-    try:
-        cholesky_with_jitter(cov)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.05 * cov.nbytes
+    # the packed triangle (n^2 / 2 doubles) and the matrix (n^2), which the
+    # factor then overwrites: no second copy of the tile, and a failed
+    # rung's matrix is dropped before the next rung's is built
+    n = 1000
+    model = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
+    clean = np.linspace(0.0, 1.0, n) + 0.0j
+    repeated = np.append(clean[:-1], clean[0])
+    for rung, sites in enumerate((clean, repeated)):
+        tracemalloc.start()
+        try:
+            assert _tile_factor(model, sites)[1] == rung
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.55 * n * n * 8
 
 
-def test_cholesky_failure_reports_the_original_spectrum():
-    # eigenvalues -2, 1 and 10: no jitter rung reaches -2, and the first
-    # rung's failed factor overwrites the 6 above the diagonal with 3
-    mat = np.array([[4.0, 6.0, 0.0], [6.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-    eigs = np.linalg.eigvalsh(mat)
-    work = mat.copy()
+def test_cholesky_failure_reports_the_original_spectrum(monkeypatch):
+    # a repeated site with no jitter to rescue it: the spectrum reported is
+    # the covariance's own, not that of the matrix the failed dpotrf left
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
+    pts = np.linspace(0, 1, 8) + 0.5j
+    twice = np.append(pts, pts[3])
+    cov = _covariance_upper(m, twice, m.variance)
+    eigs = np.linalg.eigvalsh(cov, UPLO="U")
+    expected = f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+    failed = cov.copy()
+    assert dpotrf(failed.T, lower=1, clean=0, overwrite_a=1)[1] != 0
+    left = np.linalg.eigvalsh(failed, UPLO="U")
+    assert f"eigenvalue range [{left[0]:.3e}, {left[-1]:.3e}]" != expected
+    monkeypatch.setattr(fields, "JITTER_LADDER", (0.0,))
     with pytest.raises(SimulationError) as err:
-        cholesky_with_jitter(work)
-    assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
-    assert np.array_equal(work, mat)  # every failed rung was undone
+        _tile_factor(m, twice)
+    assert expected in str(err.value)
 
 
 def test_simulation_counts_jittered_tiles():
@@ -374,14 +398,15 @@ def test_simulation_counts_jittered_tiles():
     assert stats.get("jittered", 0) == 0
     # a repeated site makes the covariance singular: rung 0 fails, 1e-12 passes
     twice = np.append(pts, pts[3])
-    cov = _covariance_matrix(m, twice)
-    shifted = cov + 1e-12 * np.max(np.diag(cov)) * np.eye(twice.size)
+    upper = _covariance_upper(m, twice, m.variance)
+    cov = upper + np.triu(upper, 1).T
+    shifted = cov + 1e-12 * m.variance * np.eye(twice.size)
     assert dpotrf(cov, lower=1)[1] != 0
     expected, info = dpotrf(shifted, lower=1)
     assert info == 0
-    stats = {}
-    assert np.array_equal(cholesky_with_jitter(cov, stats=stats), expected)
-    assert stats["jittered"] == 1
+    factor, rung = _tile_factor(m, twice)
+    assert np.array_equal(factor, expected)
+    assert rung == 1
     stats = {}
     draw = simulate_isotropic(m, twice, 0, stats=stats)
     assert stats["jittered"] == 1
@@ -401,6 +426,39 @@ def test_simulation_counts_jittered_tiles():
     assert stats == {"factors": 1, "jittered": 2}
 
 
+def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
+    # a failed rung drops its matrix and the next rung builds a new one:
+    # one build per rung tried, one per congruence group
+    diagonals = []
+
+    def build(model, locations, diagonal):
+        diagonals.append(diagonal)
+        return _covariance_upper(model, locations, diagonal)
+
+    monkeypatch.setattr(fields, "_covariance_upper", build)
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
+    pts = np.linspace(0, 1, 8) + 0.5j
+    twice = np.append(pts, pts[3])
+    for sites, builds in ((pts, [1.0]), (twice, [1.0, 1.0 + 1e-12])):
+        diagonals.clear()
+        simulate_isotropic(m, sites, 0)
+        assert diagonals == builds  # rung 0, then rung 1 for the repeated site
+        # two congruent tiles: one group, built as often as one tile
+        diagonals.clear()
+        stats = {}
+        both = np.concatenate([sites, sites + 4.0])
+        blocks = [np.arange(sites.size), np.arange(sites.size, both.size)]
+        simulate_isotropic(m, both, 0, blocks=blocks, stats=stats)
+        assert diagonals == builds
+        assert stats["factors"] == 1
+    # every rung fails: one build per rung, and one more for the spectrum
+    monkeypatch.setattr(fields, "JITTER_LADDER", (0.0, 1e-300))
+    diagonals.clear()
+    with pytest.raises(SimulationError):
+        simulate_isotropic(m, twice, 0)
+    assert diagonals == [1.0, 1.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "blocks",
     [None, [np.arange(3), np.arange(3, MAX_EXACT_SIM + 4)]],
@@ -409,10 +467,10 @@ def test_simulation_counts_jittered_tiles():
 def test_simulation_exact_cap(monkeypatch, blocks):
     # one site over the cap is refused before any covariance is built, even
     # when a tile that fits comes first
-    def build(model, locations):
+    def build(model, locations, diagonal):
         raise AssertionError("a covariance was built before the cap check")
 
-    monkeypatch.setattr(fields, "_covariance_matrix", build)
+    monkeypatch.setattr(fields, "_covariance_upper", build)
     m = CovarianceModel.powered_exponential(1.0, 1.0, 1.0)
     n = MAX_EXACT_SIM + 1 if blocks is None else MAX_EXACT_SIM + 4
     pts = np.arange(n, dtype=float) + 0.0j
@@ -429,7 +487,7 @@ def test_draws_are_the_factor_times_the_seeded_normals():
     sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
 
     def factor(z):
-        return cholesky_with_jitter(_covariance_matrix(m, z))
+        return _tile_factor(m, z)[0]
 
     def normals(seq, size):
         return np.random.default_rng(seq).standard_normal(size)

@@ -72,6 +72,21 @@ def test_poisson_point_source_symmetry():
     assert sol[n // 2, n // 2] < 0  # negative spike response
 
 
+def test_poisson_complex_rhs_is_two_real_solves():
+    # one complex solve is the real part's solve plus i times the imaginary
+    # part's; a real rhs, integer input included, still gives float64
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal((33, 41)) + 1j * rng.standard_normal((33, 41))
+    want = poisson_solve_dirichlet(rhs.real, 0.05) + 1j * poisson_solve_dirichlet(rhs.imag, 0.05)
+    got = poisson_solve_dirichlet(rhs, 0.05)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    ints = rng.integers(-5, 5, (9, 9))
+    sol = poisson_solve_dirichlet(ints, 0.1)
+    assert sol.dtype == np.float64
+    assert np.array_equal(sol, poisson_solve_dirichlet(ints.astype(float), 0.1))
+
+
 def test_poisson_validation():
     with pytest.raises(ValueError):
         poisson_solve_dirichlet(np.zeros((2, 5)), 0.1)
