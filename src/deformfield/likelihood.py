@@ -117,11 +117,32 @@ def contrast_degree(alpha_max: float, block: int) -> int:
     return degree
 
 
+def _reflection(z: np.ndarray) -> np.ndarray | None:
+    """The pairing of sites z under the point reflection through their mean.
+
+    Returns perm with z[perm] - c = c - z for the mean c, to 1e-9 of the
+    site spread, or None when the sites have no such pairing.
+    """
+    rel = z - z.mean()
+    gap = np.abs(rel[:, None] + rel[None, :])
+    perm = np.argmin(gap, axis=1)
+    tol = 1e-9 * max(float(np.max(np.abs(rel))), 1.0)
+    if np.max(gap[np.arange(z.size), perm]) > tol or np.any(perm[perm] != np.arange(z.size)):
+        return None
+    return perm
+
+
 def _shared_blocks(
     data: SampleField, partition: NeighborhoodPartition, alpha_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Within-block sites shared by all blocks, contrast rows of degree
     contrast_degree(alpha_max, block), and the contrasts, one block per row.
+
+    Where the sites pair up under their point reflection P, as a block of
+    partition_grid's does, the rows are an orthonormal basis of the same
+    space made of the eigenvectors of R P R' for increment_matrix's rows R:
+    even rows (u[perm] = u) first, then odd ones.  A rotation of the rows
+    changes neither the quadratic form nor log|Sigma|.
 
     Raises ValueError unless every block is a translate of the first.
     """
@@ -137,6 +158,11 @@ def _shared_blocks(
     if np.max(np.abs(z - z.mean(axis=1, keepdims=True) - rel)) > 1e-9 * scale:
         raise ValueError(not_translates)
     rows = increment_matrix(rel, degree).rows
+    perm = _reflection(rel)
+    if perm is not None:
+        # the polynomials of each degree are closed under z -> -z, so P maps
+        # the contrast space to itself and R P R' has eigenvalues -1 and +1
+        rows = np.linalg.eigh(rows @ rows[:, perm].T)[1][:, ::-1].T @ rows
     return rel, rows, data.values[idx] @ rows.T
 
 
@@ -241,8 +267,9 @@ _CONVERGED_STEP = 3e-4
 # gives every first and second derivative to second order
 _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], dtype=np.float64)
 
-# Distinct search points per batched evaluation.  Each holds one m x m factor
-# (70 kB at block 10), so a call stays within a few MB.
+# Distinct search points per batched evaluation.  Each holds one factor per
+# parity group (46^2 + 48^2 values, 35 kB at block 10), so a call stays
+# within a few MB.
 _EVAL_ROWS = 64
 
 
@@ -278,24 +305,29 @@ class _LagTable:
 
     A kernel entry depends on a site pair only through its offset h, and
     |h + mu conj(h)| is even in h, so the pairs fall into classes of offsets
-    +-h; the zero offset adds nothing, since G(0) = 0.  Row l of weights is
-    the upper triangle, row by row, of R P_l R' for contrast rows R and the
-    0/1 matrix P_l of the pairs in class l, so the upper triangle of Sigma_1
-    is G(|h_l + mu conj(h_l)|) @ weights.
+    +-h; the zero offset adds nothing, since G(0) = 0.  For the same reason
+    Sigma_1 has no entries between an even and an odd contrast row, and the
+    rows split into groups: the even rows, then the odd ones, of rows that
+    are each even or odd (as _shared_blocks makes them), else all rows.
+    Row l of weights is, group by group, the upper triangle, row by row, of
+    R_g P_l R_g' for the rows R_g of group g and the 0/1 matrix P_l of the
+    pairs in class l, so the upper triangles of the diagonal blocks of
+    Sigma_1 are G(|h_l + mu conj(h_l)|) @ weights.
     """
 
     lags: np.ndarray  # (classes,) one offset h_l per class
-    weights: np.ndarray  # (classes, m (m + 1) / 2)
+    groups: tuple[slice, ...]  # the rows of each diagonal block
+    weights: np.ndarray  # (classes, sum over groups of m_g (m_g + 1) / 2)
 
 
 def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
     """The lag table of sites z with contrast rows `rows` (m x n).
 
-    A b x b block has ((2b - 1)^2 - 1) / 2 classes, and the table holds
-    about 0.8 b^6 float64 values: 6.4 MB at block 10, 81 MB at block 15
-    and 0.47 GB at block 20.
+    A b x b block has ((2b - 1)^2 - 1) / 2 classes.  With the rows split
+    into two groups the table holds about 0.4 b^6 float64 values: 3.2 MB at
+    block 10, 41 MB at block 15 and 0.24 GB at block 20.
     """
-    n = z.size
+    n, m = z.size, rows.shape[0]
     d = (z[:, None] - z[None, :]).ravel()
     # offsets of translated pairs agree to rounding; key each by the integer
     # multiple of a fine tolerance, with the sign chosen to merge h and -h
@@ -310,12 +342,23 @@ def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
     p, q = np.divmod(pair, n)
     order = np.argsort(cls, kind="stable")
     edges = np.searchsorted(cls[order], np.arange(first.size + 1))
-    upper = np.triu_indices(rows.shape[0])
-    weights = np.empty((first.size, upper[0].size))
+    groups = (slice(0, m),)
+    perm = _reflection(z)
+    if perm is not None:
+        parity = np.sum(rows * rows[:, perm], axis=1)  # +1 on an even row, -1 on an odd one
+        even = int(np.sum(parity > 0))
+        if np.max(np.abs(parity - np.where(np.arange(m) < even, 1.0, -1.0))) < 1e-9:
+            groups = tuple(g for g in (slice(0, even), slice(even, m)) if g.stop > g.start)
+    # flat indices, row by row, of the upper triangles of the diagonal blocks
+    block = np.zeros((m, m), dtype=bool)
+    for g in groups:
+        block[g, g] = True
+    upper = np.flatnonzero(np.triu(block))
+    weights = np.empty((first.size, upper.size))
     for cl in range(first.size):
         sel = order[edges[cl] : edges[cl + 1]]
-        weights[cl] = (rows[:, p[sel]] @ rows[:, q[sel]].T)[upper]
-    return _LagTable(lags, weights)
+        weights[cl] = (rows[:, p[sel]] @ rows[:, q[sel]].T).ravel()[upper]
+    return _LagTable(lags, groups, weights)
 
 
 def _profiled_nll(
@@ -323,39 +366,50 @@ def _profiled_nll(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiled negative log likelihood and scale at search points x.
 
-    Row i scores point x[i] on the contrasts ytilde[which[i]].  Rows at the
-    same point share one Sigma_1, one factor and one triangular solve of all
-    their contrasts; only the quadratic form and the log determinant are
-    kept per row.  The value is +inf where LAPACK cannot factorize Sigma_1.
+    Row i scores point x[i] on the contrasts ytilde[which[i]].  Sigma_1 is
+    block-diagonal over the table's row groups, so each group at a point
+    has its own factor and its own triangular solve of the contrasts of
+    all rows at that point.  The whitened contrasts and the factor
+    diagonals are reduced to the quadratic forms and log determinants once
+    per call.  The value is +inf where LAPACK cannot factorize Sigma_1.
     """
     m = ytilde.shape[1]
     points, point_of = np.unique(x, axis=0, return_inverse=True)
-    order = np.argsort(point_of.ravel(), kind="stable")
-    edges = np.searchsorted(point_of.ravel()[order], np.arange(len(points) + 1))
-    quad = np.zeros(len(which))  # a point LAPACK refuses keeps quad = 0 and scores +inf
-    logdet = np.zeros(len(which))
-    # one buffer for every chunk: fresh pages would be faulted in each time
-    buffer = np.empty((min(len(points), _EVAL_ROWS), m, m))
+    point_of = point_of.ravel()
+    order = np.argsort(point_of, kind="stable")
+    edges = np.searchsorted(point_of[order], np.arange(len(points) + 1))
+    white = ytilde[which[order]]  # rows in point order, whitened in place
+    diag = np.ones((len(points), m))
+    failed = np.zeros(len(points), dtype=bool)
+    # one buffer per group for every chunk: fresh pages would be faulted in each time
+    chunk = min(len(points), _EVAL_ROWS)
+    buffers = [np.empty((chunk, g.stop - g.start, g.stop - g.start)) for g in table.groups]
     h, h_conj = table.lags, np.conj(table.lags)
     for start in range(0, len(points), _EVAL_ROWS):
         mu = _mu_from_x(points[start : start + _EVAL_ROWS])
         upper = g_alpha(alpha, np.abs(h + mu[:, None] * h_conj)) @ table.weights
-        # row j of the upper triangle is one contiguous run; in each C-ordered
-        # slab it is column j of the lower triangle of the transposed slab, a
-        # Fortran-ordered matrix that LAPACK factors in place
-        slabs = buffer[: upper.shape[0]]
+        # row j of a group's upper triangle is one contiguous run; in each
+        # C-ordered slab it is column j of the lower triangle of the
+        # transposed slab, a Fortran-ordered matrix that LAPACK factors in place
         at = 0
-        for j in range(m):
-            slabs[:, j, j:] = upper[:, at : at + m - j]
-            at += m - j
-        for point, slab in enumerate(slabs, start):
-            factor, info = dpotrf(slab.T, lower=1, clean=0, overwrite_a=1)
-            if info == 0:
-                rows = order[edges[point] : edges[point + 1]]
-                w = dtrtrs(factor, ytilde[which[rows]].T, lower=1)[0].T
-                quad[rows] = np.sum(w * w, axis=1)
-                logdet[rows] = np.sum(np.log(np.diagonal(factor)))
-    ok = quad > 0
+        for buffer in buffers:
+            size = buffer.shape[1]
+            for j in range(size):
+                buffer[: mu.size, j, j:] = upper[:, at : at + size - j]
+                at += size - j
+        for point in range(start, start + mu.size):
+            rows = slice(edges[point], edges[point + 1])
+            for group, buffer in zip(table.groups, buffers):
+                factor, info = dpotrf(buffer[point - start].T, lower=1, clean=0, overwrite_a=1)
+                if info:
+                    failed[point] = True
+                    break
+                white[rows, group] = dtrtrs(factor, white[rows, group].T, lower=1)[0].T
+                diag[point, group] = factor.diagonal()
+    quad = np.empty(len(which))
+    quad[order] = np.sum(white * white, axis=1)
+    logdet = np.sum(np.log(diag), axis=1)[point_of]
+    ok = ~failed[point_of] & (quad > 0)
     s_hat = np.where(ok, quad / m, 1.0)
     nll = np.full(len(which), np.inf)
     nll[ok] = logdet[ok] + 0.5 * m * np.log(s_hat[ok]) + 0.5 * m
@@ -538,14 +592,15 @@ def estimate_field(
 
     The contrasts have degree contrast_degree(alpha_max, block), as in
     estimate_alpha.  The blocks must be translates of one another, as
-    partition_grid makes them, so one lag table serves every block (6.4 MB at block 10, growing
-    as block^6: 81 MB at 15, 0.47 GB at 20).  Every block is fitted by a
-    damped Newton search from mu = 0 on 6-point finite differences of the
-    profiled likelihood (see _newton_lockstep), and the searches of all
-    blocks advance together with one batched likelihood evaluation per
-    stencil or step trial, in which blocks at the same search point share
-    one factor.  Blocks whose likelihood degenerates are marked missing
-    rather than aborting the sweep.  A given stats dict gets the likelihood
+    partition_grid makes them, so one lag table serves every block (3.2 MB
+    at block 10, growing as block^6: 41 MB at 15, 0.24 GB at 20).  Every
+    block is fitted by a damped Newton search from mu = 0 on 6-point finite
+    differences of the profiled likelihood (see _newton_lockstep), and the
+    searches of all blocks advance together with one batched likelihood
+    evaluation per stencil or step trial, in which blocks at the same
+    search point share one factor per parity group of the contrasts.
+    Blocks whose likelihood degenerates are marked missing rather than
+    aborting the sweep.  A given stats dict gets the likelihood
     evaluations (nll_evals: the starts, stencil points and step trials of
     at least _XTOL) and the fits that used all _MAX_ITER iterations
     (fits_at_maxiter).

@@ -225,6 +225,20 @@ def test_scatter_keeps_write_order_on_shared_edges(monkeypatch):
     assert not np.array_equal(got, _scatter_full_window(*args, reverse=True))
 
 
+def test_scatter_batches_keep_the_write_order(monkeypatch):
+    # batches of 5 of the 128 triangles split every pass, and shared edges
+    # between batches: the last write still decides each node
+    mu = _const_mu(9, 0.0)
+    corners, values, area2, _, _ = _scatter_inputs(mu, FlowState.identity(mu), monkeypatch)
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    args = (corners, values, area2, (-0.25, 1.25, -0.25, 1.25), 25)
+    whole = _scatter_to_box(*args).values
+    monkeypatch.setattr(flow, "_SCATTER_BATCH", 5)
+    assert np.array_equal(_scatter_to_box(*args).values, whole)
+    assert np.array_equal(whole, _scatter_full_window(*args))
+
+
 def test_scatter_tests_a_sliver_across_its_whole_bounding_box():
     # one sliver from node (1, 1) to node (4, 4): it hits the four diagonal
     # nodes, at offsets 0 and reach = 3 from its box corner included

@@ -16,7 +16,7 @@ from deformfield.fields import (
     simulate_isotropic,
     simulation_blocks,
 )
-from deformfield.increments import increment_matrix
+from deformfield.increments import increment_matrix, monomial_basis
 from deformfield.likelihood import (
     MU_CAP,
     _alpha_nll,
@@ -421,13 +421,13 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
     which = np.arange(x.shape[0]) % ytilde.shape[0]
     factors = []
 
-    def counting(*args, **kwargs):
-        factors.append(1)
-        return dpotrf(*args, **kwargs)
+    def counting(a, **kwargs):
+        factors.append(a.shape[0])
+        return dpotrf(a, **kwargs)
 
     monkeypatch.setattr(likelihood, "dpotrf", counting)
     nll, s_hat = _profiled_nll(table, ytilde, alpha, which, x)
-    assert len(factors) == 42  # one factor per distinct point
+    assert factors == [46, 48] * 42  # one factor per parity group per distinct point
     for i in range(x.shape[0]):
         mu = _mu_from_x(x[i])
         want_nll, want_s = _sandwich_nll(rel, rows, ytilde[which[i]], alpha, mu)
@@ -457,6 +457,94 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
         sigma = 0.5 * (sigma + sigma.T)
         assert dpotrf(sigma, lower=1)[1] != 0
     assert _alpha_nll(4.5, np.abs(diff), rows, ytilde.T) == np.inf
+
+
+@pytest.mark.parametrize("side, n_even", [(10, 46), (5, 9)])
+def test_shared_blocks_rows_are_even_then_odd_contrasts(side, n_even):
+    # a 10 x 10 block pairs its sites; a 5 x 5 one pairs its centre with itself
+    model = CovarianceModel.powered_exponential(1.0, 1.0, 0.7)
+    data = _simulated_field(10, model, seed=3)
+    part = partition_grid(10, 10, side, spacing=(0.01, 0.01))
+    rel, rows, ytilde = _shared_blocks(data, part, 4.0)  # degree 2
+    perm = likelihood._reflection(rel)
+    assert np.max(np.abs(rel[perm] + rel)) < 1e-15
+    assert np.sum(perm == np.arange(rel.size)) == side % 2
+    plain = increment_matrix(rel, 2).rows
+    assert rows.shape == plain.shape
+    assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) < 1e-12
+    assert np.max(np.abs(rows @ monomial_basis(rel, 2))) < 1e-12
+    assert np.max(np.abs(rows.T @ rows - plain.T @ plain)) < 1e-12
+    assert np.max(np.abs(rows[:n_even, perm] - rows[:n_even])) < 1e-12
+    assert np.max(np.abs(rows[n_even:, perm] + rows[n_even:])) < 1e-12
+    assert np.array_equal(ytilde, data.values[part.blocks] @ rows.T)
+
+
+def test_sigma1_has_no_entries_between_even_and_odd_rows():
+    rel, rows, _ = _block_contrasts()
+    table = _lag_table(rel, rows)
+    assert table.groups == (slice(0, 46), slice(46, 94))
+    assert table.weights.shape == (180, 46 * 47 // 2 + 48 * 49 // 2)
+    diff = rel[:, None] - rel[None, :]
+    rng = np.random.default_rng(5)
+    for mu in _mu_from_x(rng.normal(scale=1.5, size=(8, 2))):
+        kernel = g_alpha(0.7, np.abs(diff + mu * np.conj(diff)))
+        cross = rows[:46] @ kernel @ rows[46:].T
+        assert np.max(np.abs(cross)) <= 1e-12 * np.max(np.abs(kernel)), mu
+
+
+# At alpha 1.5 Sigma_1 is worse conditioned, and the two agree to about 1e-11.
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_split_objective_matches_the_rows_scored_as_one_group(alpha, monkeypatch):
+    rel, rows, ytilde = _block_contrasts()
+    split = _lag_table(rel, rows)
+    monkeypatch.setattr(likelihood, "_reflection", lambda z: None)
+    whole = _lag_table(rel, rows)
+    assert len(split.groups) == 2 and whole.groups == (slice(0, 94),)
+    rng = np.random.default_rng(9)
+    x = np.vstack([rng.normal(scale=0.8, size=(30, 2)), [[np.arctanh(0.999), -0.4]]])
+    which = np.arange(x.shape[0]) % ytilde.shape[0]
+    nll, s_hat = _profiled_nll(split, ytilde, alpha, which, x)
+    want_nll, want_s = _profiled_nll(whole, ytilde, alpha, which, x)
+    np.testing.assert_allclose(nll, want_nll, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(s_hat, want_s, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("moved", [1e-6, 0.0], ids=["no-reflection", "mixed-rows"])
+def test_lag_table_without_even_and_odd_rows_takes_one_group(moved):
+    # one site of a 5 x 5 lattice moved by 1e-4 of the spacing: the sites have
+    # no point reflection.  Unmoved, they have one, but increment_matrix's
+    # rows are not each even or odd.
+    z = _lattice_sites(5)
+    z[0] += moved
+    assert (likelihood._reflection(z) is None) == (moved > 0)
+    rows = increment_matrix(z - z.mean(), 2).rows
+    table = _lag_table(z, rows)
+    assert table.groups == (slice(0, rows.shape[0]),)
+    rng = np.random.default_rng(4)
+    ytilde = rng.normal(size=(3, rows.shape[0]))
+    x = rng.normal(scale=0.8, size=(6, 2))
+    which = np.arange(6) % 3
+    nll, s_hat = _profiled_nll(table, ytilde, 0.7, which, x)
+    for i in range(6):
+        want_nll, want_s = _sandwich_nll(z, rows, ytilde[which[i]], 0.7, _mu_from_x(x[i]))
+        assert nll[i] == pytest.approx(want_nll, rel=1e-10), i
+        assert s_hat[i] == pytest.approx(want_s, rel=1e-10), i
+
+
+def test_a_lone_contrast_row_takes_one_group():
+    # at degree 3 a 3 x 3 block keeps one contrast, an even one: no odd group
+    model = CovarianceModel.powered_exponential(1.0, 1.0, 0.7)
+    data = _simulated_field(6, model, seed=3)
+    part = partition_grid(6, 6, 3, spacing=(0.01, 0.01))
+    rel, rows, ytilde = _shared_blocks(data, part, 7.9)
+    table = _lag_table(rel, rows)
+    assert table.groups == (slice(0, 1),)
+    x = np.array([[0.3, -0.2]] * 4)
+    nll, s_hat = _profiled_nll(table, ytilde, 0.7, np.arange(4), x)
+    for i in range(4):
+        want_nll, want_s = _sandwich_nll(rel, rows, ytilde[i], 0.7, _mu_from_x(x[i]))
+        assert nll[i] == pytest.approx(want_nll, rel=1e-10), i
+        assert s_hat[i] == pytest.approx(want_s, rel=1e-10), i
 
 
 def _oracle_fit(rel, rows, ytilde, alpha):

@@ -1,7 +1,7 @@
 """Large-lattice run, excluded from the default suite, and its tier-1 guard.
 
 Run with: pytest -m nightly tests/test_nightly.py -s
-One realization at 400x400 takes about 7 s with BLAS on one thread on a
+One realization at 400x400 takes about 6 s with BLAS on one thread on a
 2-vCPU Xeon; the targets are distributional bands around published
 single-realization values, not exact numbers.  The grouping guard below
 runs in the default suite: it builds no covariance.
