@@ -35,7 +35,9 @@ JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 #: Simulation tiles whose canonical sites agree within this multiple of the
 #: tile's reach (its largest distance from its first site) are congruent and
-#: share one covariance factor; see congruent_tiles.
+#: share one covariance factor; see congruent_tiles.  Strips of a tile that
+#: agree as closely under one rigid motion share one block row of its
+#: covariance; see _tile_period.
 CONGRUENCE_TOL = 1e-12
 
 #: The Matern-form families sum K as a power series in (t / range)^2 up to
@@ -52,6 +54,10 @@ SERIES_SIN = 0.1
 SERIES_TERMS = 16
 #: Entries summed per pass, so the Horner accumulators stay in cache.
 SERIES_CHUNK = 32768
+
+#: Rows of a simulation tile's covariance whose kernel values are evaluated
+#: in one array, so the temporaries stay small against the tile's matrix.
+SLAB_ROWS = 64
 
 #: Most locations in one tile, drawn by one dense factorization; the config
 #: refuses a lattice whose exact draw or largest tile is larger up front.
@@ -265,35 +271,73 @@ class SampleField:
         return self.locations.size
 
 
+def _tile_period(locations: np.ndarray) -> int:
+    """The smallest s < n dividing n whose strips of s sites repeat under one rigid motion.
+
+    Strip r holds sites r s .. r s + s - 1.  The proper rigid motion
+    z -> a z + c (|a| = 1) that best carries each site k < n - s onto site
+    k + s, in least squares, must carry strip 0 onto every strip r when
+    applied r times: site by site within CONGRUENCE_TOL times the tile's
+    reach (its largest distance from its first site), so every distance
+    between strips r and r + q agrees within twice that with the same pair
+    between strips 0 and q.  Returns n when no s < n does.
+    """
+    n = locations.size
+    tol = CONGRUENCE_TOL * float(np.max(np.abs(locations - locations[0])))
+    for s in range(1, n):
+        if n % s:
+            continue
+        src, dst = locations[:-s], locations[s:]
+        a = np.vdot(src - src.mean(), dst - dst.mean())
+        a = a / abs(a) if a else 1.0
+        c = dst.mean() - a * src.mean()
+        turn = a ** np.arange(n // s)
+        shift = c * np.cumsum(np.concatenate(([0.0], turn[:-1])))  # c (1 + a + ... + a^(r-1))
+        strips = locations.reshape(-1, s)
+        if np.max(np.abs(strips - (turn[:, None] * strips[0] + shift[:, None]))) <= tol:
+            return s
+    return n
+
+
 def _covariance_upper(
-    model: CovarianceModel, locations: np.ndarray, diagonal: float
+    model: CovarianceModel, locations: np.ndarray, diagonal: float, stats: dict | None = None
 ) -> np.ndarray:
     """Covariance K(|z_i - z_j|) between complex locations, upper triangle only.
 
-    K is evaluated on the strict upper triangle, held row by row in one
-    buffer, and copied row by row into a zeroed C-ordered matrix with
-    ``diagonal`` on its diagonal.  Nothing is written below it: the upper
-    triangle is the lower triangle of the Fortran-ordered transpose that
-    dpotrf reads.  Every entry above the diagonal is bit-identical to
-    covariance_eval on the full distance matrix.
+    The tile's strips of _tile_period's s sites repeat under one rigid
+    motion, so the covariance is block-Toeplitz: block row r, rows r s to
+    r s + s - 1, is the first block row shifted r blocks to the right.  K
+    is evaluated on the first block row alone, SLAB_ROWS rows at a time on
+    the distances from those rows to every later site, and each slab is
+    copied into every block row of a zeroed C-ordered matrix with
+    ``diagonal`` on its diagonal.  Below the diagonal the matrix stays zero:
+    the upper triangle is the lower triangle of the Fortran-ordered
+    transpose that dpotrf reads.  A tile with no period is one strip, and
+    every entry above its diagonal is bit-identical to covariance_eval on
+    the full distance matrix; in later block rows of a periodic tile an
+    entry takes the distance of its pair's copy in the first block row.  A
+    given stats dict gets the number of kernel values evaluated
+    (kernel_entries).
     """
     n = locations.size
-    upper = np.empty(n * (n - 1) // 2)  # the upper triangle row by row: distances, then K
-    at = 0
-    for i in range(n - 1):
-        np.abs(locations[i + 1 :] - locations[i], out=upper[at : at + n - 1 - i])
-        at += n - 1 - i
-    upper = covariance_eval(model, upper)
+    period = _tile_period(locations)
     cov = np.zeros((n, n))
-    at = 0
-    for i in range(n - 1):
-        cov[i, i + 1 :] = upper[at : at + n - 1 - i]
-        at += n - 1 - i
-    np.fill_diagonal(cov, diagonal)
+    for top in range(0, period, SLAB_ROWS):
+        rows = slice(top, min(top + SLAB_ROWS, period))
+        slab = covariance_eval(model, np.abs(locations[top:] - locations[rows, None]))
+        head = slab[:, : rows.stop - top]  # the slab's own square on the diagonal
+        head[np.tril_indices_from(head, -1)] = 0.0
+        np.fill_diagonal(head, diagonal)
+        for shift in range(0, n, period):
+            cov[shift + top : shift + rows.stop, shift + top :] = slab[:, : n - shift - top]
+        if stats is not None:
+            stats["kernel_entries"] = stats.get("kernel_entries", 0) + slab.size
     return cov
 
 
-def _tile_factor(model: CovarianceModel, locations: np.ndarray) -> tuple[np.ndarray, int]:
+def _tile_factor(
+    model: CovarianceModel, locations: np.ndarray, stats: dict | None = None
+) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor of a tile's covariance and the JITTER_LADDER rung it took.
 
     Each rung builds the covariance afresh, with jitter times the variance
@@ -301,11 +345,12 @@ def _tile_factor(model: CovarianceModel, locations: np.ndarray) -> tuple[np.ndar
     failed rung's matrix is dropped, not restored.  The factor is
     Fortran-ordered with its strict upper triangle zero.  When every rung
     fails, the unjittered matrix is built once more for the spectrum that
-    the error reports.
+    the error reports.  A given stats dict gets the kernel values that
+    every rung's build evaluated (kernel_entries).
     """
     v = model.variance
     for rung, jitter in enumerate(JITTER_LADDER):
-        cov = _covariance_upper(model, locations, v + jitter * v)
+        cov = _covariance_upper(model, locations, v + jitter * v, stats)
         factor, info = dpotrf(cov.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             return factor, rung
@@ -339,8 +384,9 @@ def simulate_isotropic(
     SeedSequence(seed, spawn_key=(k,)) and the one tile of an untiled draw
     from SeedSequence(seed), with numpy's default PCG64, so output is
     reproducible across platforms and evaluation orders.  A given stats
-    dict gets the number of factors (factors) and of tiles whose factor
-    needed jitter (jittered).
+    dict gets the number of factors (factors), of tiles whose factor
+    needed jitter (jittered) and of kernel values evaluated to build the
+    factors (kernel_entries).
     """
     locations = np.asarray(locations, dtype=np.complex128).ravel()
     n = locations.size
@@ -362,7 +408,7 @@ def simulate_isotropic(
     groups = congruent_tiles(locations, [idx for _, idx in tiles])
     values = np.empty(n)
     for members in groups:
-        factor, rung = _tile_factor(model, locations[tiles[members[0]][1]])
+        factor, rung = _tile_factor(model, locations[tiles[members[0]][1]], stats)
         for key, idx in (tiles[k] for k in members):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
             values[idx] = factor @ rng.standard_normal(idx.size)

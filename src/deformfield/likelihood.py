@@ -361,8 +361,24 @@ def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
     return _LagTable(lags, groups, weights)
 
 
+def _nll_work(table: _LagTable, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Work arrays of _profiled_nll for chunks of up to `rows` search points.
+
+    One slab of factors per row group of the table and the output of the
+    kernel-to-Sigma product.  A fit allocates them once and passes them to
+    every call, so their pages are faulted in once, not on every call.
+    """
+    sizes = [g.stop - g.start for g in table.groups]
+    return [np.empty((rows, m, m)) for m in sizes], np.empty((rows, table.weights.shape[1]))
+
+
 def _profiled_nll(
-    table: _LagTable, ytilde: np.ndarray, alpha: float, which: np.ndarray, x: np.ndarray
+    table: _LagTable,
+    ytilde: np.ndarray,
+    alpha: float,
+    which: np.ndarray,
+    x: np.ndarray,
+    work: tuple[list[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiled negative log likelihood and scale at search points x.
 
@@ -372,6 +388,8 @@ def _profiled_nll(
     all rows at that point.  The whitened contrasts and the factor
     diagonals are reduced to the quadratic forms and log determinants once
     per call.  The value is +inf where LAPACK cannot factorize Sigma_1.
+    ``work``, from _nll_work for at least _EVAL_ROWS points, holds the work
+    arrays; without it the call allocates its own.
     """
     m = ytilde.shape[1]
     points, point_of = np.unique(x, axis=0, return_inverse=True)
@@ -381,13 +399,16 @@ def _profiled_nll(
     white = ytilde[which[order]]  # rows in point order, whitened in place
     diag = np.ones((len(points), m))
     failed = np.zeros(len(points), dtype=bool)
-    # one buffer per group for every chunk: fresh pages would be faulted in each time
-    chunk = min(len(points), _EVAL_ROWS)
-    buffers = [np.empty((chunk, g.stop - g.start, g.stop - g.start)) for g in table.groups]
+    # one buffer per group and one product for every chunk, and with `work`
+    # for every call of a fit: fresh pages would be faulted in each time
+    if work is None:
+        work = _nll_work(table, min(len(points), _EVAL_ROWS))
+    buffers, product = work
     h, h_conj = table.lags, np.conj(table.lags)
     for start in range(0, len(points), _EVAL_ROWS):
         mu = _mu_from_x(points[start : start + _EVAL_ROWS])
-        upper = g_alpha(alpha, np.abs(h + mu[:, None] * h_conj)) @ table.weights
+        kernel = g_alpha(alpha, np.abs(h + mu[:, None] * h_conj))
+        upper = np.matmul(kernel, table.weights, out=product[: mu.size])
         # row j of a group's upper triangle is one contiguous run; in each
         # C-ordered slab it is column j of the lower triangle of the
         # transposed slab, a Fortran-ordered matrix that LAPACK factors in place
@@ -504,9 +525,10 @@ def _fit_blocks(
     reason[~signal] = "degenerate neighborhood: contrasts carry no signal"
     fit = np.flatnonzero(signal)
     table = _lag_table(z, rows)
+    work = _nll_work(table, _EVAL_ROWS)
     ytilde = ytilde[fit]
     x, fval, nfev, iters = _newton_lockstep(
-        lambda search, points: _profiled_nll(table, ytilde, alpha, search, points)[0],
+        lambda search, points: _profiled_nll(table, ytilde, alpha, search, points, work)[0],
         np.zeros((fit.size, 2)),
     )
     if stats is not None:
@@ -514,7 +536,7 @@ def _fit_blocks(
         stats["fits_at_maxiter"] = stats.get("fits_at_maxiter", 0) + int(
             np.sum(iters >= _MAX_ITER)
         )
-    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x)
+    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x, work)
     found = np.isfinite(fval)
     reason[fit[~found]] = "anisotropy likelihood infeasible at mu = 0"
     done = fit[found]

@@ -109,7 +109,11 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
             "noise_fraction": cfg.noise_fraction,
             "sim_tiles": 0 if blocks is None else len(blocks),
             # deterministic counts only: reruns must stay byte-identical
-            "counts": {"factors": stats["factors"], "tiles_jittered": stats.get("jittered", 0)},
+            "counts": {
+                "factors": stats["factors"],
+                "tiles_jittered": stats.get("jittered", 0),
+                "kernel_entries": stats["kernel_entries"],
+            },
         },
     )
     return grid

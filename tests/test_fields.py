@@ -16,11 +16,13 @@ from deformfield.fields import (
     SERIES_CHUNK,
     SERIES_SIN,
     SERIES_X,
+    SLAB_ROWS,
     CovarianceModel,
     DeformationSpec,
     SampleField,
     _covariance_upper,
     _tile_factor,
+    _tile_period,
     add_noise,
     apply_deformation,
     congruent_tiles,
@@ -220,15 +222,25 @@ def test_simulation_deterministic_per_seed():
     ],
 )
 def test_covariance_matrix_matches_elementwise_kernel(model):
-    # one distinct distance per pair (bent sites) and many repeats (lattice);
-    # the upper triangle is the kernel's, and nothing is written below it
+    # a tile with no period takes every entry from its own site pair, bit for
+    # bit; the lattice and the bent lattice repeat column by column, and their
+    # later block rows copy the first within rounding; nothing is written
+    # below the diagonal
     ax = np.arange(12) / 11.0
     lattice = (ax[:, None] + 1j * ax[None, :]).ravel()
     bent = apply_deformation(DeformationSpec.rotational(), lattice)
-    for sites in (lattice, bent):
+    moved = bent.copy()
+    moved[100] += 1e-6
+    scattered = np.random.default_rng(5).uniform(size=(144, 2)) @ np.array([1.0, 1j])
+    for sites, period in ((lattice, 12), (bent, 12), (moved, 144), (scattered, 144)):
+        assert _tile_period(sites) == period
         dist = np.abs(sites[:, None] - sites[None, :])
         cov = _covariance_upper(model, sites, model.variance)
-        assert np.array_equal(np.triu(cov), np.triu(covariance_eval(model, dist)))
+        want = np.triu(covariance_eval(model, dist))
+        if period < sites.size:
+            assert np.max(np.abs(np.triu(cov) - want)) <= 1e-13 * model.variance
+        else:
+            assert np.array_equal(np.triu(cov), want)
         assert np.all(np.tril(cov, -1) == 0.0)
 
 
@@ -354,21 +366,23 @@ def test_covariance_eval_works_in_one_copy_of_its_input(model):
 
 
 def test_cholesky_allocates_no_copy_of_the_tile():
-    # the packed triangle (n^2 / 2 doubles) and the matrix (n^2), which the
-    # factor then overwrites: no second copy of the tile, and a failed
-    # rung's matrix is dropped before the next rung's is built
+    # the matrix (n^2 doubles), which the factor then overwrites, and the
+    # kernel's slabs: one row of n for the evenly spaced line (period 1), and
+    # SLAB_ROWS rows at a time (about 0.25 n^2 at n = 1000) for the tile with
+    # a repeated site, which has no period; no second copy of the tile, and
+    # a failed rung's matrix is dropped before the next rung's is built
     n = 1000
     model = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
     clean = np.linspace(0.0, 1.0, n) + 0.0j
     repeated = np.append(clean[:-1], clean[0])
-    for rung, sites in enumerate((clean, repeated)):
+    for rung, sites, bound in ((0, clean, 1.02), (1, repeated, 1.3)):
         tracemalloc.start()
         try:
             assert _tile_factor(model, sites)[1] == rung
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.55 * n * n * 8
+        assert peak < bound * n * n * 8
 
 
 def test_cholesky_failure_reports_the_original_spectrum(monkeypatch):
@@ -419,11 +433,12 @@ def test_simulation_counts_jittered_tiles():
     simulate_isotropic(m, twice, 0, blocks=[[0, 1, 2, 4, 5, 6, 7], [3, 8]], stats=stats)
     assert stats["jittered"] == 1
     # two congruent tiles with the repeated site share one jittered factor,
-    # and each of them counts
+    # and each of them counts; the tile has no period, so each of the two
+    # rungs evaluates the kernel on one slab of 9 x 9 distances
     stats = {}
     blocks = [np.arange(9), np.arange(9, 18)]
     simulate_isotropic(m, np.concatenate([twice, twice + 4.0]), 0, blocks=blocks, stats=stats)
-    assert stats == {"factors": 1, "jittered": 2}
+    assert stats == {"factors": 1, "jittered": 2, "kernel_entries": 2 * 81}
 
 
 def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
@@ -431,9 +446,9 @@ def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
     # one build per rung tried, one per congruence group
     diagonals = []
 
-    def build(model, locations, diagonal):
+    def build(model, locations, diagonal, stats=None):
         diagonals.append(diagonal)
-        return _covariance_upper(model, locations, diagonal)
+        return _covariance_upper(model, locations, diagonal, stats)
 
     monkeypatch.setattr(fields, "_covariance_upper", build)
     m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
@@ -514,12 +529,14 @@ def test_draws_are_the_factor_times_the_seeded_normals():
     "deform, factors", [(DeformationSpec.rotational(), 2), (DeformationSpec.identity(), 1)]
 )
 def test_congruent_tiles_share_one_factor(deform, factors):
+    # each 4 x 4 tile repeats lattice column by column (period 4), so each
+    # factor evaluates the kernel on one block row of 4 x 16 distances
     m = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
     ax = np.arange(8) / 7.0
     sites = apply_deformation(deform, (ax[:, None] + 1j * ax).ravel())
     stats = {}
     simulate_isotropic(m, sites, 0, blocks=simulation_blocks(8, 8, 4), stats=stats)
-    assert stats == {"factors": factors}
+    assert stats == {"factors": factors, "kernel_entries": factors * 4 * 16}
 
 
 def _square_and_translate(move=0.0):
@@ -562,9 +579,10 @@ def test_congruent_tiles_match_every_site(case, groups):
 
 
 def test_one_factor_is_alive_at_a_time():
-    # two tiles that are not congruent: the first factor is released before
-    # the second covariance is built, so the peak stays near one tile's
-    # assembly (1.5 n^2 doubles) instead of adding a factor (2.5 n^2)
+    # two tiles that are not congruent and have no period: the first factor
+    # is released before the second covariance is built, so the peak stays
+    # near one tile's assembly (the matrix and its kernel slabs, about
+    # 1.4 n^2 doubles at n = 600) instead of adding a factor (n^2 more)
     rng = np.random.default_rng(6)
     n = 600
     sites = rng.uniform(0, 1, 2 * n) + 1j * rng.uniform(0, 1, 2 * n)
@@ -577,7 +595,9 @@ def test_one_factor_is_alive_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stats == {"factors": 2}
+    # each slab of SLAB_ROWS rows takes its rows' distances to every later site
+    per_tile = sum(min(SLAB_ROWS, n - top) * (n - top) for top in range(0, n, SLAB_ROWS))
+    assert stats == {"factors": 2, "kernel_entries": 2 * per_tile}
     assert peak < 2.0 * n * n * 8
 
 

@@ -218,8 +218,10 @@ def test_pipeline_reruns_are_deterministic(tmp_path):
             blob_b = fh.read()
         assert blob_a == blob_b, name
     with open(os.path.join(out_a, "field_meta.json")) as fh:
-        # 30 x 30 sites in tiles of side 20 merge into one tile: one factor
-        assert json.load(fh)["counts"] == {"factors": 1, "tiles_jittered": 0}
+        # 30 x 30 sites in tiles of side 20 merge into one tile: one factor,
+        # whose lattice columns repeat, so the kernel fills one 30 x 900 block row
+        counts = json.load(fh)["counts"]
+    assert counts == {"factors": 1, "tiles_jittered": 0, "kernel_entries": 30 * 900}
 
 
 def _estimate_counts(cfg, out):

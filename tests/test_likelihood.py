@@ -19,10 +19,12 @@ from deformfield.fields import (
 from deformfield.increments import increment_matrix, monomial_basis
 from deformfield.likelihood import (
     MU_CAP,
+    _EVAL_ROWS,
     _alpha_nll,
     _fit_blocks,
     _lag_table,
     _mu_from_x,
+    _nll_work,
     _newton_lockstep,
     _profiled_nll,
     _shared_blocks,
@@ -438,6 +440,23 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
         one_nll, one_s = _profiled_nll(table, ytilde, alpha, which[i : i + 1], x[i : i + 1])
         assert nll[i] == pytest.approx(one_nll[0], rel=1e-12), i
         assert s_hat[i] == pytest.approx(one_s[0], rel=1e-12), i
+
+
+def test_profiled_nll_reuses_one_set_of_work_arrays():
+    # a fit's work arrays serve a call of more than one chunk, one of fewer
+    # points than a chunk and one of none, with the bits of calls that
+    # allocate their own
+    rel, rows, ytilde = _block_contrasts()
+    table = _lag_table(rel, rows)
+    work = _nll_work(table, _EVAL_ROWS)
+    rng = np.random.default_rng(12)
+    for size in (_EVAL_ROWS + 9, 5, 0):
+        x = rng.normal(scale=0.8, size=(size, 2))
+        which = np.arange(size) % ytilde.shape[0]
+        got = _profiled_nll(table, ytilde, 0.7, which, x, work)
+        want = _profiled_nll(table, ytilde, 0.7, which, x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got[0].shape == (size,)
 
 
 def test_lag_table_objective_is_inf_where_no_factor_exists():

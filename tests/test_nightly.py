@@ -1,10 +1,10 @@
 """Large-lattice run, excluded from the default suite, and its tier-1 guard.
 
 Run with: pytest -m nightly tests/test_nightly.py -s
-One realization at 400x400 takes about 6 s with BLAS on one thread on a
+One realization at 400x400 takes about 4 s with BLAS on one thread on a
 2-vCPU Xeon; the targets are distributional bands around published
-single-realization values, not exact numbers.  The grouping guard below
-runs in the default suite: it builds no covariance.
+single-realization values, not exact numbers.  The grouping and period
+guards below run in the default suite: they build no covariance.
 """
 
 import time
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import deformfield as df
-from deformfield.fields import apply_deformation, congruent_tiles
+from deformfield.fields import _tile_period, apply_deformation, congruent_tiles
 
 
 def _full_scale_config():
@@ -49,6 +49,37 @@ def test_full_scale_tiles_form_eight_congruent_groups():
     latent = apply_deformation(cfg.build_deformation(), cfg.observation_grid().locations())
     groups = congruent_tiles(latent, cfg.sim_tiles())
     assert [len(members) for members in groups] == [8] * 8
+
+
+def _tile_periods(cfg):
+    latent = apply_deformation(cfg.build_deformation(), cfg.observation_grid().locations())
+    return [_tile_period(latent[idx]) for idx in cfg.sim_tiles() or [np.arange(latent.size)]]
+
+
+def test_tiles_repeat_lattice_column_by_column():
+    # every map here carries each lattice column of a tile onto the next by
+    # one rigid motion (a rotation about i r0, or a shift), so the period is
+    # one column: 50 sites in tiles of 50 x 50, 60 in the one 60 x 60 tile
+    # (the paper config's lattice and map; the covariance does not enter)
+    paper = df.PipelineConfig(deform="rotational", deform_r0=1.2, deform_angle=float(np.pi / 2))
+    assert _tile_periods(paper) == [50] * 4
+    assert _tile_periods(df.PipelineConfig()) == [50] * 4
+    assert _tile_periods(_full_scale_config()) == [50] * 64
+    assert _tile_periods(df.PipelineConfig(grid_nx=60, grid_ny=60)) == [60]
+    # a straight line of evenly spaced sites repeats site by site; one site
+    # of the last strip moved, or the sites shuffled, leave no period: by
+    # 1e-6, and by 1e-10, which moves the fitted motion by far less than the
+    # 1e-12 tolerance, so only the check of every strip sees it
+    line = np.linspace(0.0, 1.0, 400) * np.exp(0.3j) + 0.2
+    assert _tile_period(line) == 1
+    tile = apply_deformation(paper.build_deformation(), paper.observation_grid().locations())
+    tile = tile[paper.sim_tiles()[0]]
+    for move in (1e-6, 1e-10):
+        moved = tile.copy()
+        moved[-3] += move
+        assert _tile_period(moved) == tile.size
+    shuffled = tile[np.random.default_rng(0).permutation(tile.size)]
+    assert _tile_period(shuffled) == tile.size
 
 
 @pytest.mark.nightly
