@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrtrs
 
 from .errors import ArtifactError, EstimationError
 from .fields import SampleField, g_alpha
@@ -267,9 +267,9 @@ _CONVERGED_STEP = 3e-4
 # gives every first and second derivative to second order
 _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], dtype=np.float64)
 
-# Distinct search points per batched evaluation.  Each holds one factor per
-# parity group (46^2 + 48^2 values, 35 kB at block 10), so a call stays
-# within a few MB.
+# Distinct search points per batched evaluation.  Each holds one row of the
+# kernel-to-Sigma product (46 * 47 / 2 + 48 * 49 / 2 = 2257 values, 18 kB
+# at block 10), so a chunk stays near 1 MB.
 _EVAL_ROWS = 64
 
 
@@ -312,7 +312,9 @@ class _LagTable:
     Row l of weights is, group by group, the upper triangle, row by row, of
     R_g P_l R_g' for the rows R_g of group g and the 0/1 matrix P_l of the
     pairs in class l, so the upper triangles of the diagonal blocks of
-    Sigma_1 are G(|h_l + mu conj(h_l)|) @ weights.
+    Sigma_1 are G(|h_l + mu conj(h_l)|) @ weights.  Sigma_1 is symmetric,
+    so a group's run of that product is also its lower triangle column by
+    column: LAPACK's packed storage with uplo "L", which dtpttr unpacks.
     """
 
     lags: np.ndarray  # (classes,) one offset h_l per class
@@ -361,24 +363,13 @@ def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
     return _LagTable(lags, groups, weights)
 
 
-def _nll_work(table: _LagTable, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Work arrays of _profiled_nll for chunks of up to `rows` search points.
-
-    One slab of factors per row group of the table and the output of the
-    kernel-to-Sigma product.  A fit allocates them once and passes them to
-    every call, so their pages are faulted in once, not on every call.
-    """
-    sizes = [g.stop - g.start for g in table.groups]
-    return [np.empty((rows, m, m)) for m in sizes], np.empty((rows, table.weights.shape[1]))
-
-
 def _profiled_nll(
     table: _LagTable,
     ytilde: np.ndarray,
     alpha: float,
     which: np.ndarray,
     x: np.ndarray,
-    work: tuple[list[np.ndarray], np.ndarray] | None = None,
+    product: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiled negative log likelihood and scale at search points x.
 
@@ -388,8 +379,8 @@ def _profiled_nll(
     all rows at that point.  The whitened contrasts and the factor
     diagonals are reduced to the quadratic forms and log determinants once
     per call.  The value is +inf where LAPACK cannot factorize Sigma_1.
-    ``work``, from _nll_work for at least _EVAL_ROWS points, holds the work
-    arrays; without it the call allocates its own.
+    ``product``, of at least _EVAL_ROWS rows and a column per table weight,
+    holds the kernel-to-Sigma product; without it the call allocates its own.
     """
     m = ytilde.shape[1]
     points, point_of = np.unique(x, axis=0, return_inverse=True)
@@ -399,29 +390,25 @@ def _profiled_nll(
     white = ytilde[which[order]]  # rows in point order, whitened in place
     diag = np.ones((len(points), m))
     failed = np.zeros(len(points), dtype=bool)
-    # one buffer per group and one product for every chunk, and with `work`
-    # for every call of a fit: fresh pages would be faulted in each time
-    if work is None:
-        work = _nll_work(table, min(len(points), _EVAL_ROWS))
-    buffers, product = work
+    # one product for every chunk, and with `product` for every call of a
+    # fit: fresh pages would be faulted in each time
+    if product is None:
+        product = np.empty((min(len(points), _EVAL_ROWS), table.weights.shape[1]))
+    packs, at = [], 0
+    for group in table.groups:
+        size = group.stop - group.start
+        packs.append((group, size, slice(at, at + size * (size + 1) // 2)))
+        at += size * (size + 1) // 2
     h, h_conj = table.lags, np.conj(table.lags)
     for start in range(0, len(points), _EVAL_ROWS):
         mu = _mu_from_x(points[start : start + _EVAL_ROWS])
         kernel = g_alpha(alpha, np.abs(h + mu[:, None] * h_conj))
         upper = np.matmul(kernel, table.weights, out=product[: mu.size])
-        # row j of a group's upper triangle is one contiguous run; in each
-        # C-ordered slab it is column j of the lower triangle of the
-        # transposed slab, a Fortran-ordered matrix that LAPACK factors in place
-        at = 0
-        for buffer in buffers:
-            size = buffer.shape[1]
-            for j in range(size):
-                buffer[: mu.size, j, j:] = upper[:, at : at + size - j]
-                at += size - j
         for point in range(start, start + mu.size):
             rows = slice(edges[point], edges[point + 1])
-            for group, buffer in zip(table.groups, buffers):
-                factor, info = dpotrf(buffer[point - start].T, lower=1, clean=0, overwrite_a=1)
+            for group, size, pack in packs:
+                lower = dtpttr(size, upper[point - start, pack], uplo="L")[0]
+                factor, info = dpotrf(lower, lower=1, clean=0, overwrite_a=1)
                 if info:
                     failed[point] = True
                     break
@@ -525,10 +512,10 @@ def _fit_blocks(
     reason[~signal] = "degenerate neighborhood: contrasts carry no signal"
     fit = np.flatnonzero(signal)
     table = _lag_table(z, rows)
-    work = _nll_work(table, _EVAL_ROWS)
+    product = np.empty((_EVAL_ROWS, table.weights.shape[1]))
     ytilde = ytilde[fit]
     x, fval, nfev, iters = _newton_lockstep(
-        lambda search, points: _profiled_nll(table, ytilde, alpha, search, points, work)[0],
+        lambda search, points: _profiled_nll(table, ytilde, alpha, search, points, product)[0],
         np.zeros((fit.size, 2)),
     )
     if stats is not None:
@@ -536,7 +523,7 @@ def _fit_blocks(
         stats["fits_at_maxiter"] = stats.get("fits_at_maxiter", 0) + int(
             np.sum(iters >= _MAX_ITER)
         )
-    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x, work)
+    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x, product)
     found = np.isfinite(fval)
     reason[fit[~found]] = "anisotropy likelihood infeasible at mu = 0"
     done = fit[found]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtpttr
 
 from deformfield import likelihood
 from deformfield.fields import (
@@ -24,7 +24,6 @@ from deformfield.likelihood import (
     _fit_blocks,
     _lag_table,
     _mu_from_x,
-    _nll_work,
     _newton_lockstep,
     _profiled_nll,
     _shared_blocks,
@@ -421,15 +420,22 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
     # three more times: rows 3, 42, 43 and 44 score blocks 3, 2, 3 and 0
     x = np.vstack([x, [[np.arctanh(0.999), 0.2]], [[-20.0, 7.0]], x[[3, 3, 3]]])
     which = np.arange(x.shape[0]) % ytilde.shape[0]
-    factors = []
+    factors, unpacked = [], []
 
     def counting(a, **kwargs):
         factors.append(a.shape[0])
         return dpotrf(a, **kwargs)
 
+    def counting_unpack(n, ap, **kwargs):
+        unpacked.append(n)
+        return dtpttr(n, ap, **kwargs)
+
     monkeypatch.setattr(likelihood, "dpotrf", counting)
+    monkeypatch.setattr(likelihood, "dtpttr", counting_unpack)
     nll, s_hat = _profiled_nll(table, ytilde, alpha, which, x)
-    assert factors == [46, 48] * 42  # one factor per parity group per distinct point
+    # one unpack and one factor per parity group per distinct point
+    assert factors == [46, 48] * 42
+    assert unpacked == [46, 48] * 42
     for i in range(x.shape[0]):
         mu = _mu_from_x(x[i])
         want_nll, want_s = _sandwich_nll(rel, rows, ytilde[which[i]], alpha, mu)
@@ -443,20 +449,41 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
 
 
 def test_profiled_nll_reuses_one_set_of_work_arrays():
-    # a fit's work arrays serve a call of more than one chunk, one of fewer
-    # points than a chunk and one of none, with the bits of calls that
+    # a fit's product array serves a call of more than one chunk, one of
+    # fewer points than a chunk and one of none, with the bits of calls that
     # allocate their own
     rel, rows, ytilde = _block_contrasts()
     table = _lag_table(rel, rows)
-    work = _nll_work(table, _EVAL_ROWS)
+    product = np.empty((_EVAL_ROWS, table.weights.shape[1]))
     rng = np.random.default_rng(12)
     for size in (_EVAL_ROWS + 9, 5, 0):
         x = rng.normal(scale=0.8, size=(size, 2))
         which = np.arange(size) % ytilde.shape[0]
-        got = _profiled_nll(table, ytilde, 0.7, which, x, work)
+        got = _profiled_nll(table, ytilde, 0.7, which, x, product)
         want = _profiled_nll(table, ytilde, 0.7, which, x)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert got[0].shape == (size,)
+
+
+def test_product_rows_are_packed_lower_triangles():
+    # a group's run of a product row, unpacked by dtpttr, is bit for bit the
+    # lower triangle that a row-by-row copy of the upper triangle builds
+    rel, rows, _ = _block_contrasts()
+    table = _lag_table(rel, rows)
+    mu = _mu_from_x(np.random.default_rng(6).normal(scale=1.5, size=(5, 2)))
+    product = g_alpha(0.7, np.abs(table.lags + mu[:, None] * np.conj(table.lags))) @ table.weights
+    for row in product:
+        at = 0
+        for group in table.groups:
+            size = group.stop - group.start
+            want = np.zeros((size, size))
+            for j in range(size):
+                want[j, j:] = row[at : at + size - j]
+                at += size - j
+            got, info = dtpttr(size, row[at - size * (size + 1) // 2 : at], uplo="L")
+            assert info == 0
+            assert np.array_equal(np.tril(got), want.T)
+        assert at == row.size
 
 
 def test_lag_table_objective_is_inf_where_no_factor_exists():
