@@ -55,6 +55,7 @@ from .increments import ContrastMatrix, increment_matrix, monomial_basis
 from .likelihood import (
     DilatationScaleField,
     NeighborhoodPartition,
+    block_contrasts,
     estimate_alpha,
     estimate_field,
     partition_grid,
@@ -92,6 +93,7 @@ __all__ = [
     "SimulationError",
     "add_noise",
     "apply_deformation",
+    "block_contrasts",
     "compose_estimate",
     "covariance_eval",
     "distance_d1",

@@ -166,55 +166,65 @@ def _shared_blocks(
     return rel, rows, data.values[idx] @ rows.T
 
 
-def _alpha_nll(alpha: float, dist: np.ndarray, rows: np.ndarray, ytilde: np.ndarray) -> float:
-    """Summed negative restricted log likelihood at index alpha of blocks sharing one geometry.
+@dataclass(frozen=True)
+class BlockContrasts:
+    """The contrasts of a partition's blocks, and what both estimators score them on."""
 
-    0.5 log|Sigma| + 0.5 Ytilde' Sigma^-1 Ytilde summed over the columns of
-    ytilde (one block each), with Sigma = L G_alpha(dist) L' for contrast
-    rows L and the pairwise distances dist of the shared sites.  Returns
-    +inf when LAPACK cannot factorize Sigma.
+    partition: NeighborhoodPartition
+    alpha_max: float
+    ytilde: np.ndarray  # (n_blocks, m) contrasts, one block per row
+    table: _LagTable  # Sigma_1(mu) of the shared block geometry
+    signal: np.ndarray  # (n_blocks,) whether a block's contrasts are finite and not all zero
+
+
+def block_contrasts(
+    data: SampleField, partition: NeighborhoodPartition, alpha_max: float = 4.0
+) -> BlockContrasts:
+    """Contrasts of degree contrast_degree(alpha_max, block) of every block,
+    with the lag table of their shared geometry (3.2 MB at block 10, growing
+    as block^6: 41 MB at 15, 0.24 GB at 20).
+
+    Raises ValueError unless every block is a translate of the first, as
+    partition_grid makes them.  estimate_alpha and estimate_field score
+    only the blocks whose contrasts carry signal.
     """
-    sigma = rows @ g_alpha(alpha, dist) @ rows.T
-    sigma = 0.5 * (sigma + sigma.T)
-    factor, info = dpotrf(sigma.T, lower=1, clean=0, overwrite_a=1)
-    if info:
-        return np.inf
-    w = dtrtrs(factor, ytilde, lower=1)[0]
-    return ytilde.shape[1] * float(np.sum(np.log(np.diag(factor)))) + 0.5 * float(
-        np.sum(w * w)
-    )
+    rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
+    signal = np.all(np.isfinite(ytilde), axis=1) & (np.sum(ytilde**2, axis=1) >= 1e-24)
+    return BlockContrasts(partition, float(alpha_max), ytilde, _lag_table(rel, rows), signal)
 
 
-def estimate_alpha(
-    data: SampleField,
-    partition: NeighborhoodPartition,
-    alpha_max: float = 4.0,
-    *,
-    stats: dict | None = None,
-) -> float:
+def _alpha_nll(alpha: float, table: _LagTable, ytilde: np.ndarray) -> float:
+    """Negative restricted log likelihood 0.5 log|Sigma| + 0.5 Ytilde' Sigma^-1 Ytilde
+    at index alpha and mu = 0, summed over blocks with contrasts Ytilde the
+    rows of ytilde; +inf where LAPACK cannot factorize Sigma = L G_alpha L'."""
+    n = len(ytilde)
+    half_logdet, quad = _whiten(table, ytilde, alpha, np.arange(n), np.zeros((n, 2)))
+    return float(np.sum(half_logdet)) + 0.5 * float(np.sum(quad))
+
+
+def estimate_alpha(contrasts: BlockContrasts, *, stats: dict | None = None) -> float:
     """Fractal index by golden-section search on the summed block likelihood.
 
-    The search interval is (ALPHA_FLOOR, alpha_max]; the contrast degree
-    is contrast_degree(alpha_max, block) so one contrast matrix serves every
-    candidate alpha.  The blocks must be translates of one another, as
-    partition_grid makes them, so the kernel matrix and its factorization
-    are computed once per candidate.  A given stats dict gets the number of
+    The search interval is (ALPHA_FLOOR, contrasts.alpha_max].  Each
+    candidate alpha is scored at mu = 0 on the lag table and the parity
+    factors that estimate_field's fits use, over the blocks whose
+    contrasts carry signal.  A given stats dict gets the number of
     candidates scored (alpha_evals) and of those whose likelihood was +inf
     (alpha_infeasible).
     """
-    if alpha_max <= ALPHA_FLOOR:
+    if contrasts.alpha_max <= ALPHA_FLOOR:
         raise ValueError("alpha_max must exceed the search floor 0.05")
-    rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
-    dist = np.abs(rel[:, None] - rel[None, :])
+    if not contrasts.signal.any():
+        raise EstimationError("no block's contrasts carry signal: alpha cannot be estimated")
+    ytilde = contrasts.ytilde[contrasts.signal]
     scores = []
 
     def total(alpha: float) -> float:
-        scores.append(_alpha_nll(alpha, dist, rows, ytilde.T))
+        scores.append(_alpha_nll(alpha, contrasts.table, ytilde))
         return scores[-1]
 
-    lo, hi = ALPHA_FLOOR, float(alpha_max)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = ALPHA_FLOOR, float(contrasts.alpha_max)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = total(c), total(d)
@@ -232,10 +242,9 @@ def estimate_alpha(
         stats["alpha_infeasible"] = stats.get("alpha_infeasible", 0) + int(
             np.sum(np.isposinf(scores))
         )
-    alpha_hat = 0.5 * (a + b)
     if not np.isfinite(min(fc, fd)):
         raise EstimationError("alpha likelihood was infeasible over the whole range")
-    return float(alpha_hat)
+    return float(0.5 * (a + b))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +372,7 @@ def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
     return _LagTable(lags, groups, weights)
 
 
-def _profiled_nll(
+def _whiten(
     table: _LagTable,
     ytilde: np.ndarray,
     alpha: float,
@@ -371,16 +380,17 @@ def _profiled_nll(
     x: np.ndarray,
     product: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Profiled negative log likelihood and scale at search points x.
+    """0.5 log|Sigma_1| and the quadratic form Ytilde' Sigma_1^-1 Ytilde at search points x.
 
     Row i scores point x[i] on the contrasts ytilde[which[i]].  Sigma_1 is
     block-diagonal over the table's row groups, so each group at a point
     has its own factor and its own triangular solve of the contrasts of
     all rows at that point.  The whitened contrasts and the factor
     diagonals are reduced to the quadratic forms and log determinants once
-    per call.  The value is +inf where LAPACK cannot factorize Sigma_1.
-    ``product``, of at least _EVAL_ROWS rows and a column per table weight,
-    holds the kernel-to-Sigma product; without it the call allocates its own.
+    per call.  The log determinant is +inf where LAPACK cannot factorize
+    Sigma_1.  ``product``, of at least _EVAL_ROWS rows and a column per
+    table weight, holds the kernel-to-Sigma product; without it the call
+    allocates its own.
     """
     m = ytilde.shape[1]
     points, point_of = np.unique(x, axis=0, return_inverse=True)
@@ -389,7 +399,6 @@ def _profiled_nll(
     edges = np.searchsorted(point_of[order], np.arange(len(points) + 1))
     white = ytilde[which[order]]  # rows in point order, whitened in place
     diag = np.ones((len(points), m))
-    failed = np.zeros(len(points), dtype=bool)
     # one product for every chunk, and with `product` for every call of a
     # fit: fresh pages would be faulted in each time
     if product is None:
@@ -410,17 +419,32 @@ def _profiled_nll(
                 lower = dtpttr(size, upper[point - start, pack], uplo="L")[0]
                 factor, info = dpotrf(lower, lower=1, clean=0, overwrite_a=1)
                 if info:
-                    failed[point] = True
+                    diag[point] = np.inf
                     break
                 white[rows, group] = dtrtrs(factor, white[rows, group].T, lower=1)[0].T
                 diag[point, group] = factor.diagonal()
     quad = np.empty(len(which))
     quad[order] = np.sum(white * white, axis=1)
-    logdet = np.sum(np.log(diag), axis=1)[point_of]
-    ok = ~failed[point_of] & (quad > 0)
+    return np.sum(np.log(diag), axis=1)[point_of], quad
+
+
+def _profiled_nll(
+    table: _LagTable,
+    ytilde: np.ndarray,
+    alpha: float,
+    which: np.ndarray,
+    x: np.ndarray,
+    product: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profiled negative log likelihood and scale at search points x, as
+    _whiten scores them.  The value is +inf where LAPACK cannot factorize
+    Sigma_1."""
+    m = ytilde.shape[1]
+    half_logdet, quad = _whiten(table, ytilde, alpha, which, x, product)
+    ok = np.isfinite(half_logdet) & (quad > 0)
     s_hat = np.where(ok, quad / m, 1.0)
     nll = np.full(len(which), np.inf)
-    nll[ok] = logdet[ok] + 0.5 * m * np.log(s_hat[ok]) + 0.5 * m
+    nll[ok] = half_logdet[ok] + 0.5 * m * np.log(s_hat[ok]) + 0.5 * m
     return nll, s_hat
 
 
@@ -489,51 +513,6 @@ def _newton_lockstep(fun, x0: np.ndarray):
     return x, f, nfev, iters
 
 
-def _fit_blocks(
-    z: np.ndarray,
-    rows: np.ndarray,
-    ytilde: np.ndarray,
-    alpha: float,
-    stats: dict | None = None,
-):
-    """Anisotropy fits of blocks that share within-block sites z.
-
-    ytilde holds the contrasts rows @ values of one block per row.  The
-    Newton searches of all blocks start at mu = 0 and run in lockstep on the
-    lag table of z.  Returns mu, phi and loglik per block, and per block the
-    reason it has no estimate (None when it has one).
-    """
-    n_blocks = ytilde.shape[0]
-    mu = np.full(n_blocks, complex(np.nan, np.nan))
-    phi = np.full(n_blocks, np.nan)
-    loglik = np.full(n_blocks, np.nan)
-    reason = np.full(n_blocks, None, dtype=object)
-    signal = np.all(np.isfinite(ytilde), axis=1) & (np.sum(ytilde**2, axis=1) >= 1e-24)
-    reason[~signal] = "degenerate neighborhood: contrasts carry no signal"
-    fit = np.flatnonzero(signal)
-    table = _lag_table(z, rows)
-    product = np.empty((_EVAL_ROWS, table.weights.shape[1]))
-    ytilde = ytilde[fit]
-    x, fval, nfev, iters = _newton_lockstep(
-        lambda search, points: _profiled_nll(table, ytilde, alpha, search, points, product)[0],
-        np.zeros((fit.size, 2)),
-    )
-    if stats is not None:
-        stats["nll_evals"] = stats.get("nll_evals", 0) + int(nfev.sum())
-        stats["fits_at_maxiter"] = stats.get("fits_at_maxiter", 0) + int(
-            np.sum(iters >= _MAX_ITER)
-        )
-    _, s_hat = _profiled_nll(table, ytilde, alpha, np.arange(fit.size), x, product)
-    found = np.isfinite(fval)
-    reason[fit[~found]] = "anisotropy likelihood infeasible at mu = 0"
-    done = fit[found]
-    mu[done] = _mu_from_x(x[found])
-    stretch = s_hat[found] ** (1.0 / alpha)
-    phi[done] = np.clip(stretch * np.sqrt(1.0 - _modulus(mu[done]) ** 2), *_PHI_BOUNDS)
-    loglik[done] = -fval[found]
-    return mu, phi, loglik, reason
-
-
 @dataclass
 class DilatationScaleField:
     """Per-neighborhood estimates on the block-center lattice."""
@@ -590,36 +569,52 @@ class DilatationScaleField:
 
 
 def estimate_field(
-    data: SampleField,
-    partition: NeighborhoodPartition,
-    alpha_hat: float,
-    *,
-    alpha_max: float = 4.0,
-    stats: dict | None = None,
+    contrasts: BlockContrasts, alpha_hat: float, *, stats: dict | None = None
 ) -> DilatationScaleField:
     """Per-block anisotropy estimates over a whole partition.
 
-    The contrasts have degree contrast_degree(alpha_max, block), as in
-    estimate_alpha.  The blocks must be translates of one another, as
-    partition_grid makes them, so one lag table serves every block (3.2 MB
-    at block 10, growing as block^6: 41 MB at 15, 0.24 GB at 20).  Every
-    block is fitted by a damped Newton search from mu = 0 on 6-point finite
-    differences of the profiled likelihood (see _newton_lockstep), and the
-    searches of all blocks advance together with one batched likelihood
+    Every block whose contrasts carry signal is fitted by a damped Newton
+    search from mu = 0 on 6-point finite differences of the profiled
+    likelihood (see _newton_lockstep).  The searches of all blocks advance
+    together on the lag table of `contrasts`, with one batched likelihood
     evaluation per stencil or step trial, in which blocks at the same
     search point share one factor per parity group of the contrasts.
-    Blocks whose likelihood degenerates are marked missing rather than
-    aborting the sweep.  A given stats dict gets the likelihood
-    evaluations (nll_evals: the starts, stencil points and step trials of
-    at least _XTOL) and the fits that used all _MAX_ITER iterations
-    (fits_at_maxiter).
+    Blocks without signal, or whose likelihood degenerates, are marked
+    missing rather than aborting the sweep.  A given stats dict gets the
+    likelihood evaluations (nll_evals: the starts, stencil points and step
+    trials of at least _XTOL) and the fits that used all _MAX_ITER
+    iterations (fits_at_maxiter).
     """
-    rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
-    mu, phi, loglik, reason = _fit_blocks(rel, rows, ytilde, alpha_hat, stats)
-    missing = np.not_equal(reason, None)
-    for k in np.flatnonzero(missing):
-        log.warning("block %d marked missing: %s", k, reason[k])
-    status = np.where(missing, STATUS_MISSING, STATUS_OK).astype(object)
+    table, partition = contrasts.table, contrasts.partition
+    n_blocks = partition.n_blocks
+    mu = np.full(n_blocks, complex(np.nan, np.nan))
+    phi = np.full(n_blocks, np.nan)
+    loglik = np.full(n_blocks, np.nan)
+    status = np.full(n_blocks, STATUS_MISSING, dtype=object)
+    fit = np.flatnonzero(contrasts.signal)
+    ytilde = contrasts.ytilde[fit]
+    product = np.empty((_EVAL_ROWS, table.weights.shape[1]))
+    x, fval, nfev, iters = _newton_lockstep(
+        lambda search, points: _profiled_nll(table, ytilde, alpha_hat, search, points, product)[0],
+        np.zeros((fit.size, 2)),
+    )
+    if stats is not None:
+        stats["nll_evals"] = stats.get("nll_evals", 0) + int(nfev.sum())
+        stats["fits_at_maxiter"] = stats.get("fits_at_maxiter", 0) + int(
+            np.sum(iters >= _MAX_ITER)
+        )
+    _, s_hat = _profiled_nll(table, ytilde, alpha_hat, np.arange(fit.size), x, product)
+    found = np.isfinite(fval)
+    done = fit[found]
+    status[done] = STATUS_OK
+    mu[done] = _mu_from_x(x[found])
+    stretch = s_hat[found] ** (1.0 / alpha_hat)
+    phi[done] = np.clip(stretch * np.sqrt(1.0 - _modulus(mu[done]) ** 2), *_PHI_BOUNDS)
+    loglik[done] = -fval[found]
+    for k in np.flatnonzero(~contrasts.signal):
+        log.warning("block %d marked missing: contrasts carry no signal", k)
+    for k in fit[~found]:
+        log.warning("block %d marked missing: anisotropy likelihood infeasible at mu = 0", k)
     return DilatationScaleField(
         centers=partition.centers.copy(),
         mu=mu,

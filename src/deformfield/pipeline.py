@@ -34,8 +34,8 @@ from .grids import (
     read_grd,
     write_grd,
 )
-from .likelihood import STATUS_IMPUTED, STATUS_MISSING, DilatationScaleField, estimate_alpha
-from .likelihood import estimate_field
+from .likelihood import STATUS_IMPUTED, STATUS_MISSING, DilatationScaleField, block_contrasts
+from .likelihood import estimate_alpha, estimate_field
 from .svgplots import ellipse_field_svg, scatter_svg, warped_grid_svg
 
 log = logging.getLogger(__name__)
@@ -125,11 +125,11 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
     _read_meta(os.path.join(out_dir, "field_meta.json"), cfg, force)
     grid = _read_grid(out_dir, "field.grd", cfg.observation_grid())
     data = SampleField(grid.locations(), grid.values.ravel())
-    partition = cfg.partition()
+    contrasts = block_contrasts(data, cfg.partition(), cfg.alpha_max)
     stats: dict = {}
-    alpha_hat = estimate_alpha(data, partition, alpha_max=cfg.alpha_max, stats=stats)
+    alpha_hat = estimate_alpha(contrasts, stats=stats)
     log.info("fractal index estimate: %.4f", alpha_hat)
-    est = estimate_field(data, partition, alpha_hat, alpha_max=cfg.alpha_max, stats=stats)
+    est = estimate_field(contrasts, alpha_hat, stats=stats)
     est.to_csv(os.path.join(out_dir, "estimates.csv"))
     ok = est.ok_mask()
     _write_meta(

@@ -120,7 +120,7 @@ def test_criterion_03_fractal_index_band():
     for seed in range(10):
         sim = df.simulate_isotropic(model, sites, seed, blocks=blocks)
         data = SampleField(sites, sim.values)
-        alphas.append(df.estimate_alpha(data, part, alpha_max=4.0))
+        alphas.append(df.estimate_alpha(df.block_contrasts(data, part, alpha_max=4.0)))
     alphas = np.array(alphas)
     elapsed = time.monotonic() - t0
     ok = bool(np.all((alphas >= 0.6) & (alphas <= 0.8))) and elapsed < 300.0
@@ -147,7 +147,7 @@ def test_criterion_04_local_anisotropy_oracle():
     latent = df.apply_deformation(deform, sites)
     sim = df.simulate_isotropic(model, latent, 0, blocks=df.simulation_blocks(n, n, 50))
     part = df.partition_grid(n, n, 10, spacing=(sp, sp))
-    field = df.estimate_field(SampleField(sites, sim.values), part, 3.0)
+    field = df.estimate_field(df.block_contrasts(SampleField(sites, sim.values), part), 3.0)
     smoothed = df.smooth_dilatation(field, 4)
 
     ok_mask = smoothed.ok_mask()

@@ -14,7 +14,7 @@ from deformfield.config import (
     read_config,
     write_config,
 )
-from deformfield import flow
+from deformfield import flow, likelihood
 from deformfield.errors import ConfigError, FlowError
 from deformfield.fields import CovarianceModel
 from deformfield.grids import read_grd, write_grd
@@ -251,6 +251,23 @@ def test_estimate_meta_counts_repeat(tmp_path):
     assert 0 <= counts["fits_at_maxiter"] <= 9
     assert counts["alpha_evals"] >= 2
     assert counts["alpha_infeasible"] == 0
+
+
+def test_stage_estimate_builds_one_lag_table(tmp_path, monkeypatch):
+    # the alpha search and the block fits score the same table
+    cfg = _mini_config(grid_nx=30, grid_ny=30)
+    out = str(tmp_path / "run")
+    stage_simulate(cfg, out)
+    built = []
+    lag_table = likelihood._lag_table
+
+    def counting(*args):
+        built.append(args)
+        return lag_table(*args)
+
+    monkeypatch.setattr(likelihood, "_lag_table", counting)
+    stage_estimate(cfg, out)
+    assert len(built) == 1
 
 
 def test_estimate_meta_counts_react_to_degenerate_block(tmp_path):

@@ -7,6 +7,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dtpttr
 
 from deformfield import likelihood
+from deformfield.errors import EstimationError
 from deformfield.fields import (
     CovarianceModel,
     DeformationSpec,
@@ -21,13 +22,14 @@ from deformfield.likelihood import (
     MU_CAP,
     _EVAL_ROWS,
     _alpha_nll,
-    _fit_blocks,
     _lag_table,
     _mu_from_x,
     _newton_lockstep,
     _profiled_nll,
     _shared_blocks,
     DilatationScaleField,
+    NeighborhoodPartition,
+    block_contrasts,
     contrast_degree,
     estimate_alpha,
     estimate_field,
@@ -133,29 +135,35 @@ def test_mu_from_search_coordinates_stays_under_cap():
 
 
 def test_neg_loglik_alpha_matches_direct_computation():
-    # the summed objective of two blocks equals the one-block formula, twice
+    # the summed objective of two blocks equals the one-block dense formula
+    # L G_alpha L', twice: on a block whose contrasts split into even and odd
+    # rows, and on one with a site moved by 1e-4 of the spacing, which has no
+    # point reflection and so one group of rows
     rng = np.random.default_rng(3)
-    z = _lattice_sites(5, 0.1)
-    vals = rng.standard_normal((z.size, 2))
-    L = increment_matrix(z, 1)
-    dist = np.abs(z[:, None] - z[None, :])
-
-    sigma = L.rows @ g_alpha(0.9, dist) @ L.rows.T
-    sigma = 0.5 * (sigma + sigma.T)
-    chol = cholesky(sigma, lower=True)
-    want = 0.0
-    for k in range(2):
-        w = np.linalg.solve(chol, L.rows @ vals[:, k])
-        want += float(np.sum(np.log(np.diag(chol))) + 0.5 * w @ w)
-    got = _alpha_nll(0.9, dist, L.rows, L.rows @ vals)
-    assert got == pytest.approx(want, rel=1e-10)
+    vals = rng.standard_normal((25, 2))
+    for moved, n_groups in ((0.0, 2), (1e-5, 1)):
+        z = _lattice_sites(5, 0.1)
+        z[0] += moved
+        part = partition_grid(5, 5, 5, spacing=(0.1, 0.1))
+        rel, rows, _ = _shared_blocks(SampleField(z, vals[:, 0]), part, 2.0)
+        table = _lag_table(rel, rows)
+        assert len(table.groups) == n_groups
+        L = increment_matrix(rel, 1)
+        sigma = L.rows @ g_alpha(0.9, np.abs(rel[:, None] - rel[None, :])) @ L.rows.T
+        chol = cholesky(0.5 * (sigma + sigma.T), lower=True)
+        want = 0.0
+        for k in range(2):
+            w = np.linalg.solve(chol, L.rows @ vals[:, k])
+            want += float(np.sum(np.log(np.diag(chol))) + 0.5 * w @ w)
+        got = _alpha_nll(0.9, table, (rows @ vals).T)
+        assert got == pytest.approx(want, rel=1e-10), moved
 
 
 def test_estimate_alpha_on_rough_field():
     model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     data = _simulated_field(60, model, seed=0, tile=30)
     part = partition_grid(60, 60, 10, spacing=(0.01, 0.01))
-    a_hat = estimate_alpha(data, part)
+    a_hat = estimate_alpha(block_contrasts(data, part))
     assert 0.6 <= a_hat <= 0.8
 
 
@@ -163,7 +171,7 @@ def test_estimate_alpha_on_smooth_field():
     model = CovarianceModel.polynomial_plus_fractional(0.0231, 3.0, 1.0)
     data = _simulated_field(60, model, seed=1, tile=30)
     part = partition_grid(60, 60, 10, spacing=(0.01, 0.01))
-    a_hat = estimate_alpha(data, part)
+    a_hat = estimate_alpha(block_contrasts(data, part))
     assert 2.7 <= a_hat <= 3.3
 
 
@@ -171,8 +179,9 @@ def test_estimate_alpha_counts_infeasible_candidates(monkeypatch):
     model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     data = _simulated_field(30, model, seed=0)
     part = partition_grid(30, 30, 10, spacing=(0.01, 0.01))
+    contrasts = block_contrasts(data, part, alpha_max=2.0)
     real = {}
-    estimate_alpha(data, part, alpha_max=2.0, stats=real)
+    estimate_alpha(contrasts, stats=real)
     assert real["alpha_infeasible"] == 0
     # an objective that cannot be factorized below alpha = 1
     nll = likelihood._alpha_nll
@@ -180,7 +189,7 @@ def test_estimate_alpha_counts_infeasible_candidates(monkeypatch):
         likelihood, "_alpha_nll", lambda alpha, *rest: np.inf if alpha < 1.0 else nll(alpha, *rest)
     )
     planted = {}
-    a_hat = estimate_alpha(data, part, alpha_max=2.0, stats=planted)
+    a_hat = estimate_alpha(contrasts, stats=planted)
     assert 0 < planted["alpha_infeasible"] < planted["alpha_evals"]
     assert planted["alpha_evals"] == real["alpha_evals"]  # the bracket shrinks the same way
     assert a_hat >= 1.0 - 1e-3  # the midpoint of the final bracket
@@ -191,7 +200,48 @@ def test_estimate_alpha_rejects_bad_bound():
     data = _simulated_field(10, model, seed=0)
     part = partition_grid(10, 10, 5, spacing=(0.01, 0.01))
     with pytest.raises(ValueError):
-        estimate_alpha(data, part, alpha_max=0.01)
+        estimate_alpha(block_contrasts(data, part, alpha_max=0.01))
+
+
+def test_estimate_alpha_leaves_out_blocks_without_signal():
+    # 20 of the 36 blocks made constant, and one site of another made NaN:
+    # alpha-hat is that of the partition of the other 15 blocks
+    model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
+    data = _simulated_field(60, model, seed=0, tile=30)
+    part = partition_grid(60, 60, 10, spacing=(0.01, 0.01))
+    flat = np.arange(16, 36)
+    data.values[part.blocks[flat]] = 0.25
+    data.values[part.blocks[5][17]] = np.nan
+    contrasts = block_contrasts(data, part)
+    assert contrasts.signal.sum() == 15 and not contrasts.signal[flat].any()
+    keep = np.flatnonzero(contrasts.signal)
+    sub = NeighborhoodPartition(part.blocks[keep], part.centers[keep], part.geometry)
+    assert estimate_alpha(contrasts) == estimate_alpha(block_contrasts(data, sub))
+
+
+def test_estimate_alpha_needs_a_block_with_signal():
+    z = _lattice_sites(6, 0.01)
+    part = partition_grid(6, 6, 3, spacing=(0.01, 0.01))
+    with pytest.raises(EstimationError, match="no block"):
+        estimate_alpha(block_contrasts(SampleField(z, np.ones(z.size)), part, 2.0))
+
+
+def test_estimate_alpha_scores_two_parity_factors_per_candidate(monkeypatch):
+    # at block 10 the 94 contrasts split into 46 even and 48 odd ones
+    model = CovarianceModel.powered_exponential(1.0, 1.0, 0.7)
+    data = _simulated_field(20, model, seed=5)
+    contrasts = block_contrasts(data, partition_grid(20, 20, 10, spacing=(0.01, 0.01)))
+    factors = []
+
+    def counting(a, **kwargs):
+        factors.append(a.shape[0])
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(likelihood, "dpotrf", counting)
+    stats = {}
+    estimate_alpha(contrasts, stats=stats)
+    assert stats["alpha_evals"] > 2 and stats["alpha_infeasible"] == 0
+    assert factors == [46, 48] * stats["alpha_evals"]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +265,16 @@ def test_fit_blocks_recovers_planted_anisotropy():
     sigma = 0.5 * (sigma + sigma.T)
     chol = cholesky(sigma, lower=True)
     rng = np.random.default_rng(12)
-    # fabricate block values consistent with the drawn contrasts, one block per row
-    values = np.stack([L.rows.T @ (chol @ rng.standard_normal(chol.shape[0])) for _ in range(24)])
-    mus, phis, _, reason = _fit_blocks(z, L.rows, values @ L.rows.T, alpha)
-    assert list(reason) == [None] * 24
-    assert abs(np.mean(mus) - mu_true) < 0.1
-    assert abs(np.median(np.log(phis / phi_true))) < 0.25
+    # fabricate the values of a row of 24 blocks consistent with the drawn contrasts
+    xs, ys = np.arange(10) * 0.01, np.arange(240) * 0.01
+    data = SampleField((xs[:, None] + 1j * ys[None, :]).ravel(), np.zeros(2400))
+    part = partition_grid(10, 240, 10, spacing=(0.01, 0.01))
+    for block in part.blocks:
+        data.values[block] = L.rows.T @ (chol @ rng.standard_normal(chol.shape[0]))
+    field = estimate_field(block_contrasts(data, part), alpha)
+    assert field.status.tolist() == ["ok"] * 24
+    assert abs(np.mean(field.mu) - mu_true) < 0.1
+    assert abs(np.median(np.log(field.phi / phi_true))) < 0.25
 
 
 def test_estimate_field_marks_a_lone_degenerate_block_missing():
@@ -228,7 +282,8 @@ def test_estimate_field_marks_a_lone_degenerate_block_missing():
     z = _lattice_sites(6, 0.01)
     part = partition_grid(6, 6, 6, spacing=(0.01, 0.01))
     stats = {}
-    field = estimate_field(SampleField(z, np.zeros(z.size)), part, 0.7, stats=stats)
+    contrasts = block_contrasts(SampleField(z, np.zeros(z.size)), part)
+    field = estimate_field(contrasts, 0.7, stats=stats)
     assert field.status.tolist() == ["missing"]
     assert np.isnan(field.mu[0]) and np.isnan(field.phi[0]) and np.isnan(field.loglik[0])
     assert stats.get("nll_evals", 0) == 0
@@ -241,7 +296,7 @@ def test_estimate_field_affine_recovery():
     deform = DeformationSpec.affine(1.0, 0.3, 0.0, (-0.2, 1.2, -0.2, 1.2))
     data = _simulated_field(50, model, seed=0, deform=deform, tile=25)
     part = partition_grid(50, 50, 10, spacing=(0.01, 0.01))
-    field = estimate_field(data, part, 3.0)
+    field = estimate_field(block_contrasts(data, part), 3.0)
     assert field.ok_mask().all()
     med = complex(np.median(field.mu.real), np.median(field.mu.imag))
     assert abs(med - 0.3) < 0.08
@@ -254,7 +309,7 @@ def test_estimate_field_marks_degenerate_blocks_missing():
     data = _simulated_field(20, model, seed=5)
     part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
     data.values[part.blocks[0]] = 0.0  # first block carries no contrast signal
-    field = estimate_field(data, part, 0.7)
+    field = estimate_field(block_contrasts(data, part), 0.7)
     assert field.status[0] == "missing"
     assert np.isnan(field.phi[0])
     assert field.status[1:].tolist() == ["ok"] * 3
@@ -264,7 +319,7 @@ def test_field_csv_round_trip(tmp_path):
     model = CovarianceModel.powered_exponential(1.0, 1.0, 0.7)
     data = _simulated_field(20, model, seed=6)
     part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))
-    field = estimate_field(data, part, 0.7)
+    field = estimate_field(block_contrasts(data, part), 0.7)
     path = str(tmp_path / "est.csv")
     field.to_csv(path)
     back = DilatationScaleField.from_csv(path, field.alpha_used, field.geometry)
@@ -494,7 +549,8 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
     rng = np.random.default_rng(1)
     ytilde = rng.normal(size=(4, rows.shape[0]))
     x = rng.normal(scale=0.8, size=(8, 2))
-    nll, _ = _profiled_nll(_lag_table(rel, rows), ytilde, 4.5, np.arange(8) % 4, x)
+    table = _lag_table(rel, rows)
+    nll, _ = _profiled_nll(table, ytilde, 4.5, np.arange(8) % 4, x)
     assert np.all(np.isinf(nll))
     diff = rel[:, None] - rel[None, :]
     for xi in x:
@@ -502,7 +558,7 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
         sigma = rows @ g_alpha(4.5, np.abs(diff + mu * np.conj(diff))) @ rows.T
         sigma = 0.5 * (sigma + sigma.T)
         assert dpotrf(sigma, lower=1)[1] != 0
-    assert _alpha_nll(4.5, np.abs(diff), rows, ytilde.T) == np.inf
+    assert _alpha_nll(4.5, table, ytilde) == np.inf
 
 
 @pytest.mark.parametrize("side, n_even", [(10, 46), (5, 9)])
@@ -629,7 +685,7 @@ def test_estimate_field_matches_scipy_multistart_oracle():
     data = _simulated_field(30, model, seed=4, deform=deform, tile=30)
     part = partition_grid(30, 30, 10, spacing=(0.01, 0.01))
     data.values[part.blocks[4]] = 0.25  # a constant block has no contrast signal
-    field = estimate_field(data, part, 0.7)
+    field = estimate_field(block_contrasts(data, part), 0.7)
     rel, rows, _ = _shared_blocks(data, part, 4.0)  # degree 2, as estimate_field's default
     for k, block in enumerate(part.blocks):
         ytilde = rows @ data.values[block]
@@ -646,13 +702,14 @@ def test_estimate_field_matches_scipy_multistart_oracle():
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda data, part: estimate_alpha(data, part),
-        lambda data, part: estimate_field(data, part, 0.9),
+        lambda data, part: estimate_alpha(block_contrasts(data, part)),
+        lambda data, part: estimate_field(block_contrasts(data, part), 0.9),
     ],
     ids=["estimate_alpha", "estimate_field"],
 )
 def test_estimate_field_rejects_blocks_that_are_not_translates(estimate):
-    # one site moved by 1e-5: the blocks no longer share their geometry
+    # one site moved by 1e-5: the blocks no longer share their geometry, and
+    # block_contrasts, which both estimators take their input from, says so
     model = CovarianceModel.powered_exponential(1.0, 1.0, 0.9)
     data = _simulated_field(20, model, seed=2)
     part = partition_grid(20, 20, 10, spacing=(0.01, 0.01))

@@ -31,6 +31,21 @@ def test_readme_lower_level_pieces_are_exported():
     assert [name for name in named if name not in deformfield.__all__] == []
 
 
+def test_readme_example_prints_its_commented_values():
+    # the Library section's one python block, run as it stands
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n", text.index("## Library")) + len("```python\n")
+    code = text[start : text.index("```", start)]
+    want = re.findall(r"^print\(.*# (\S+)$", code, flags=re.MULTILINE)
+    assert len(want) == 3
+    env = {**os.environ, "PYTHONPATH": os.path.join(PACKAGE, os.pardir)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert [line.split("= ")[1] for line in out.splitlines()] == want
+
+
 def test_modules_import_no_private_names_from_each_other():
     private = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
