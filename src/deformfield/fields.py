@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import OrientationError, SimulationError
 from .grids import ComplexGrid, Grid, grid_sample
@@ -59,7 +60,12 @@ SERIES_CHUNK = 32768
 #: in one array, so the temporaries stay small against the tile's matrix.
 SLAB_ROWS = 64
 
-#: Most locations in one tile, drawn by one dense factorization; the config
+#: Fewest sites in one strip of a periodic tile's block Schur draw: a
+#: smaller period is merged into the smallest multiple of it that divides
+#: the tile and holds this many, so the draw takes fewer, larger steps.
+MIN_STRIP = 32
+
+#: Most locations in one tile, drawn by one exact factorization; the config
 #: refuses a lattice whose exact draw or largest tile is larger up front.
 MAX_EXACT_SIM = 20000
 
@@ -300,64 +306,153 @@ def _tile_period(locations: np.ndarray) -> int:
 
 
 def _covariance_upper(
-    model: CovarianceModel, locations: np.ndarray, diagonal: float, stats: dict | None = None
+    model: CovarianceModel,
+    locations: np.ndarray,
+    diagonal: float,
+    stats: dict | None = None,
+    rows: int | None = None,
 ) -> np.ndarray:
     """Covariance K(|z_i - z_j|) between complex locations, upper triangle only.
 
-    The tile's strips of _tile_period's s sites repeat under one rigid
-    motion, so the covariance is block-Toeplitz: block row r, rows r s to
-    r s + s - 1, is the first block row shifted r blocks to the right.  K
-    is evaluated on the first block row alone, SLAB_ROWS rows at a time on
-    the distances from those rows to every later site, and each slab is
-    copied into every block row of a zeroed C-ordered matrix with
-    ``diagonal`` on its diagonal.  Below the diagonal the matrix stays zero:
-    the upper triangle is the lower triangle of the Fortran-ordered
-    transpose that dpotrf reads.  A tile with no period is one strip, and
-    every entry above its diagonal is bit-identical to covariance_eval on
-    the full distance matrix; in later block rows of a periodic tile an
-    entry takes the distance of its pair's copy in the first block row.  A
-    given stats dict gets the number of kernel values evaluated
-    (kernel_entries).
+    Returns the first ``rows`` rows (every row by default), a whole number
+    of the tile's periods.  The tile's strips of _tile_period's s sites
+    repeat under one rigid motion, so the covariance is block-Toeplitz:
+    block row r, rows r s to r s + s - 1, is the first block row shifted r
+    blocks to the right.  K is evaluated on the first block row alone,
+    SLAB_ROWS rows at a time on the distances from those rows to every
+    later site, and each slab is copied into every block row of a zeroed
+    C-ordered matrix with ``diagonal`` on its diagonal.  Below the
+    diagonal the matrix stays zero: the upper triangle is the lower
+    triangle of the Fortran-ordered transpose that dpotrf reads.  A tile
+    with no period is one strip, and every entry above its diagonal is
+    bit-identical to covariance_eval on the full distance matrix; in later
+    block rows of a periodic tile an entry takes the distance of its
+    pair's copy in the first block row.  A given stats dict gets the
+    number of kernel values evaluated (kernel_entries).
     """
     n = locations.size
     period = _tile_period(locations)
-    cov = np.zeros((n, n))
+    cov = np.zeros((n if rows is None else rows, n))
     for top in range(0, period, SLAB_ROWS):
-        rows = slice(top, min(top + SLAB_ROWS, period))
-        slab = covariance_eval(model, np.abs(locations[top:] - locations[rows, None]))
-        head = slab[:, : rows.stop - top]  # the slab's own square on the diagonal
+        band = slice(top, min(top + SLAB_ROWS, period))
+        slab = covariance_eval(model, np.abs(locations[top:] - locations[band, None]))
+        head = slab[:, : band.stop - top]  # the slab's own square on the diagonal
         head[np.tril_indices_from(head, -1)] = 0.0
         np.fill_diagonal(head, diagonal)
-        for shift in range(0, n, period):
-            cov[shift + top : shift + rows.stop, shift + top :] = slab[:, : n - shift - top]
+        for shift in range(0, cov.shape[0], period):
+            cov[shift + top : shift + band.stop, shift + top :] = slab[:, : n - shift - top]
         if stats is not None:
             stats["kernel_entries"] = stats.get("kernel_entries", 0) + slab.size
     return cov
 
 
-def _tile_factor(
-    model: CovarianceModel, locations: np.ndarray, stats: dict | None = None
+def _strip(period: int, n: int) -> int:
+    """Sites per strip of a tile's block Schur draw: the smallest multiple
+    of its period that divides n and holds at least MIN_STRIP sites, or n
+    (one strip, drawn densely) when no such multiple is smaller."""
+    return next((s for s in range(period, n, period) if s >= MIN_STRIP and n % s == 0), n)
+
+
+def _schur_draw(row: np.ndarray, normals: np.ndarray) -> np.ndarray | None:
+    """L z for each row z of normals, L the lower Cholesky factor of the
+    symmetric block-Toeplitz matrix T with first block row ``row``; None
+    when a step fails.
+
+    ``row`` is [A_0 ... A_{m-1}] on strips of s sites, with A_0's upper
+    triangle only.  It is overwritten by X and dropped once the generator
+    holds X, so with the caller keeping no reference to it the working set
+    peaks near 4 s n doubles and the draws.  The generalized Schur algorithm
+    (Kailath & Sayed, SIAM Review 37, 1995; Golub & Van Loan 4.7) starts
+    from A_0 = L0 L0' and the generator X = L0^-1 [A_0 ... A_{m-1}],
+    Y = L0^-1 [0 A_1 ... A_{m-1}], for which T - Z T Z' = X'X - Y'Y with Z
+    the shift down by one block; X is block row 0 of R = L'.  Step k
+    shifts X right by one block and, with a and b the leading blocks of X
+    and Y, applies the hyperbolic rotation that zeroes b:
+
+        r = chol(a'a - b'b) upper,  K = b a^-1,  C = chol(I - K K') lower,
+        [X; Y] <- [[r^-T a', -r^-T b'], [-C^-1 K, C^-1]] [X; Y].
+
+    The new X is block row k of R, with leading block r, and the draws
+    gain X' z_k for block k of each z, so L z = R' z is summed one block
+    row at a time and no n x n matrix is built.  Each step's X goes to
+    columns s.. of one of two 2s x n buffers and its Y to columns 0.., so
+    the next step's pair, X shifted and Y past its zeroed block, is one
+    view of that buffer.  A step fails when dpotrf or dtrtrs returns a
+    nonzero info.
+    """
+    s, n = row.shape
+    factor, info = dpotrf(row[:, :s].T, lower=1, clean=1)
+    if info:
+        return None
+    x = dtrsm(1.0, factor, row.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    del row  # solved in place: x is the row
+    a = x[:, :s] = factor.T
+    draws = normals[:, :s] @ x
+    cur = np.empty((2 * s, n))
+    cur[:s, s:] = x[:, : n - s]
+    cur[s:, s:] = x[:, s:]
+    del x  # before the second buffer is allocated
+    nxt = np.empty((2 * s, n))
+    eye = np.eye(s)
+    for k in range(1, n // s):
+        width = n - k * s
+        gen = cur[:, s : s + width]
+        b = gen[s:, :s]
+        k_t, info = dtrtrs(a, b.T, lower=0, trans=1)  # K' = a^-T b'
+        if info:
+            return None
+        r, info = dpotrf(a.T @ a - b.T @ b, lower=0, clean=1)
+        if info:
+            return None
+        c, info = dpotrf(eye - k_t.T @ k_t, lower=1, clean=1)
+        if info:
+            return None
+        x, y = nxt[:s, s : s + width], nxt[s:, :width]
+        np.matmul(dtrtrs(r, np.hstack([a.T, -b.T]), lower=0, trans=1)[0], gen, out=x)
+        np.matmul(dtrtrs(c, np.hstack([-k_t.T, eye]), lower=1)[0], gen, out=y)
+        x[:, :s] = r
+        draws[:, k * s :] += normals[:, k * s : (k + 1) * s] @ x
+        a = r
+        cur, nxt = nxt, cur
+    return draws
+
+
+def _draw_tile(
+    model: CovarianceModel, locations: np.ndarray, normals: np.ndarray, stats: dict | None = None
 ) -> tuple[np.ndarray, int]:
-    """Lower Cholesky factor of a tile's covariance and the JITTER_LADDER rung it took.
+    """L z for each row z of normals, L the lower Cholesky factor of a
+    tile's covariance, and the JITTER_LADDER rung it took.
 
     Each rung builds the covariance afresh, with jitter times the variance
-    added to its diagonal, and factors it in place by one LAPACK dpotrf; a
-    failed rung's matrix is dropped, not restored.  The factor is
-    Fortran-ordered with its strict upper triangle zero.  When every rung
-    fails, the unjittered matrix is built once more for the spectrum that
-    the error reports.  A given stats dict gets the kernel values that
-    every rung's build evaluated (kernel_entries).
+    added to its diagonal.  A tile of m = n / s > 1 strips of _strip's s
+    sites builds its first block row alone (s x n) and draws by
+    _schur_draw.  A tile of one strip builds its dense matrix, factors it
+    in place by one LAPACK dpotrf and multiplies the factor by each z in
+    turn.  A failed rung's matrix is dropped, not restored.  When every
+    rung fails, the dense unjittered matrix is built once more for the
+    spectrum that the error reports.  A given stats dict gets the kernel
+    values that every rung's build evaluated (kernel_entries).
     """
+    n = locations.size
+    strip = _strip(_tile_period(locations), n)
     v = model.variance
     for rung, jitter in enumerate(JITTER_LADDER):
+        if strip < n:
+            # the row is passed on, not kept, so the draw can drop it early
+            draws = _schur_draw(
+                _covariance_upper(model, locations, v + jitter * v, stats, rows=strip), normals
+            )
+            if draws is not None:
+                return draws, rung
+            continue
         cov = _covariance_upper(model, locations, v + jitter * v, stats)
         factor, info = dpotrf(cov.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return factor, rung
+            return np.array([factor @ z for z in normals]), rung
         del cov, factor  # before the next rung's matrix is built
     eigs = np.linalg.eigvalsh(_covariance_upper(model, locations, v), UPLO="U")
     raise SimulationError(
-        f"covariance factorization failed for a {locations.size}x{locations.size} matrix "
+        f"covariance factorization failed for a {n}x{n} matrix "
         f"even with jitter {JITTER_LADDER[-1] * v:g}; "
         f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
     )
@@ -375,18 +470,22 @@ def simulate_isotropic(
 
     ``blocks``, a list of index arrays covering every location, splits them
     into tiles; without it all locations form one tile.  Each tile is drawn
-    exactly by the factor of its dense covariance, independently of the
-    others as the block likelihood assumes, and none may exceed
-    MAX_EXACT_SIM locations.  Congruent tiles (see congruent_tiles) share
-    the factor of their group's first tile, as their site distances agree
-    within 2 * CONGRUENCE_TOL of the tile's reach; groups are drawn one
-    after another, so one factor is alive at a time.  Tile k draws from
+    exactly as L z for the lower Cholesky factor L of its covariance,
+    independently of the others as the block likelihood assumes, and none
+    may exceed MAX_EXACT_SIM locations.  A tile whose strips repeat under
+    one rigid motion (see _tile_period) is drawn from its first block row
+    by the block Schur algorithm in O(s n) memory for strips of s sites;
+    any other tile by a dense factor.  Congruent tiles (see
+    congruent_tiles) are drawn together from their group's first tile, as
+    their site distances agree within 2 * CONGRUENCE_TOL of the tile's
+    reach; groups are drawn one after another, so one group's working set
+    is alive at a time.  Tile k draws its z from
     SeedSequence(seed, spawn_key=(k,)) and the one tile of an untiled draw
     from SeedSequence(seed), with numpy's default PCG64, so output is
     reproducible across platforms and evaluation orders.  A given stats
-    dict gets the number of factors (factors), of tiles whose factor
-    needed jitter (jittered) and of kernel values evaluated to build the
-    factors (kernel_entries).
+    dict gets the number of factors, one per group (factors), of tiles
+    whose factor needed jitter (jittered) and of kernel values evaluated
+    to build the factors (kernel_entries).
     """
     locations = np.asarray(locations, dtype=np.complex128).ravel()
     n = locations.size
@@ -408,11 +507,14 @@ def simulate_isotropic(
     groups = congruent_tiles(locations, [idx for _, idx in tiles])
     values = np.empty(n)
     for members in groups:
-        factor, rung = _tile_factor(model, locations[tiles[members[0]][1]], stats)
-        for key, idx in (tiles[k] for k in members):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-            values[idx] = factor @ rng.standard_normal(idx.size)
-        del factor  # before the next group's covariance is built
+        first = tiles[members[0]][1]
+        normals = np.empty((len(members), first.size))  # one row per tile of the group
+        for k, z in zip(members, normals):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tiles[k][0]))
+            z[:] = rng.standard_normal(z.size)
+        draws, rung = _draw_tile(model, locations[first], normals, stats)
+        for k, draw in zip(members, draws):
+            values[tiles[k][1]] = draw
         if rung and stats is not None:
             stats["jittered"] = stats.get("jittered", 0) + len(members)
     if stats is not None:

@@ -29,6 +29,10 @@ log = logging.getLogger(__name__)
 ALPHA_FLOOR = 0.05
 _ALPHA_TOL = 1e-3  # width of the final golden-section bracket on alpha
 MU_CAP = 1.0 - 1e-6
+# A block's contrasts carry signal when their norm exceeds this multiple of
+# the norm of the block's values; below it they are rounding residue, as
+# for a constant block, in whatever units the data come.
+_SIGNAL_FLOOR = 1e-12
 
 STATUS_OK = "ok"
 STATUS_MISSING = "missing"
@@ -174,7 +178,7 @@ class BlockContrasts:
     alpha_max: float
     ytilde: np.ndarray  # (n_blocks, m) contrasts, one block per row
     table: _LagTable  # Sigma_1(mu) of the shared block geometry
-    signal: np.ndarray  # (n_blocks,) whether a block's contrasts are finite and not all zero
+    signal: np.ndarray  # (n_blocks,) whether a block's contrasts are finite and above rounding
 
 
 def block_contrasts(
@@ -186,10 +190,14 @@ def block_contrasts(
 
     Raises ValueError unless every block is a translate of the first, as
     partition_grid makes them.  estimate_alpha and estimate_field score
-    only the blocks whose contrasts carry signal.
+    only the blocks whose contrasts carry signal: finite, with a norm above
+    _SIGNAL_FLOOR times that of the block's values.
     """
     rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
-    signal = np.all(np.isfinite(ytilde), axis=1) & (np.sum(ytilde**2, axis=1) >= 1e-24)
+    values = data.values[np.asarray(partition.blocks, dtype=np.intp)]
+    signal = np.all(np.isfinite(ytilde), axis=1) & (
+        np.sum(ytilde**2, axis=1) > _SIGNAL_FLOOR**2 * np.sum(values**2, axis=1)
+    )
     return BlockContrasts(partition, float(alpha_max), ytilde, _lag_table(rel, rows), signal)
 
 
@@ -372,6 +380,17 @@ def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
     return _LagTable(lags, groups, weights)
 
 
+def _point_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of x, sorted, and the index of each row's point among them.
+
+    Rows that all sit at one point, as the alpha search's do, skip the sort.
+    """
+    if len(x) and np.all(x == x[0]):
+        return x[:1], np.zeros(len(x), dtype=np.intp)
+    points, point_of = np.unique(x, axis=0, return_inverse=True)
+    return points, point_of.ravel()
+
+
 def _whiten(
     table: _LagTable,
     ytilde: np.ndarray,
@@ -393,8 +412,7 @@ def _whiten(
     allocates its own.
     """
     m = ytilde.shape[1]
-    points, point_of = np.unique(x, axis=0, return_inverse=True)
-    point_of = point_of.ravel()
+    points, point_of = _point_groups(x)
     order = np.argsort(point_of, kind="stable")
     edges = np.searchsorted(point_of[order], np.arange(len(points) + 1))
     white = ytilde[which[order]]  # rows in point order, whitened in place

@@ -12,6 +12,7 @@ from deformfield import fields
 from deformfield.errors import OrientationError, SimulationError
 from deformfield.fields import (
     MAX_EXACT_SIM,
+    MIN_STRIP,
     POWERED_EXPONENTIAL,
     SERIES_CHUNK,
     SERIES_SIN,
@@ -21,7 +22,8 @@ from deformfield.fields import (
     DeformationSpec,
     SampleField,
     _covariance_upper,
-    _tile_factor,
+    _draw_tile,
+    _strip,
     _tile_period,
     add_noise,
     apply_deformation,
@@ -242,6 +244,10 @@ def test_covariance_matrix_matches_elementwise_kernel(model):
         else:
             assert np.array_equal(np.triu(cov), want)
         assert np.all(np.tril(cov, -1) == 0.0)
+        # the first block rows alone, as the block Schur draw builds them
+        rows = min(2 * period, sites.size)
+        top = _covariance_upper(model, sites, model.variance, rows=rows)
+        assert np.array_equal(top, cov[:rows])
 
 
 def _matern_by_kv(model, t):
@@ -323,26 +329,145 @@ def test_small_draws_every_family(model, n):
     assert draw.values.shape == (n,) and np.all(np.isfinite(draw.values))
 
 
-def test_cholesky_factor_contract():
-    # a 20 x 10 lattice bent by the rotational map: 200 sites
-    lattice = (np.arange(20)[:, None] / 19.0 + 1j * np.arange(10)[None, :] / 9.0).ravel()
-    sites = apply_deformation(DeformationSpec.rotational(), lattice)
-    m = CovarianceModel.matern(1.0, 0.4, 0.85)
-    upper = _covariance_upper(m, sites, m.variance)
-    cov = upper + np.triu(upper, 1).T
-    built = []
+def _dense_factor(model, sites):
+    # the oracle: LAPACK's dpotrf on the tile's whole covariance
+    return dpotrf(_covariance_upper(model, sites, model.variance).T, lower=1)[0]
 
-    def build(*args):
-        built.append(_covariance_upper(*args))
-        return built[-1]
+
+_PERIODIC_MODELS = (
+    CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0),
+    CovarianceModel.powered_exponential(1.0, 0.3, 1.5),
+    CovarianceModel.matern(1.0, 0.4, 0.85),
+)
+
+
+def _check_schur_factor(model, sites, strip):
+    # draws with z = I are z' L' = L' row by row: the factor itself.  It is
+    # lower triangular, L L' is the covariance within 1e-12 of its largest
+    # entry, and the factor and three draws are within rounding of the dense
+    # oracle's; only the first block row of `strip` rows is built
+    n = sites.size
+    upper = _covariance_upper(model, sites, model.variance)
+    cov = upper + np.triu(upper, 1).T
+    shapes = []
+
+    def build(*args, **kwargs):
+        built = _covariance_upper(*args, **kwargs)
+        shapes.append(built.shape)
+        return built
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "_covariance_upper", build)
-        factor, rung = _tile_factor(m, sites)
-    assert len(built) == 1 and np.shares_memory(factor, built[0])  # factored in place
+        draws, rung = _draw_tile(model, sites, np.eye(n))
+    assert shapes == [(strip, n)]
     assert rung == 0  # no jitter, so L L' is the matrix itself
+    factor = draws.T
     assert np.all(np.triu(factor, 1) == 0.0)
     assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+    oracle = _dense_factor(model, sites)
+    scale = np.sqrt(np.max(np.abs(cov)))
+    assert np.max(np.abs(factor - oracle)) <= 1e-11 * scale
+    z = np.random.default_rng(2).standard_normal((3, n))
+    assert np.max(np.abs(_draw_tile(model, sites, z)[0] - z @ oracle.T)) <= 1e-10 * scale
+
+
+def test_cholesky_factor_contract():
+    # a 20 x 10 lattice bent by the rotational map: 200 sites in strips of 10
+    # that repeat under one rotation, drawn four strips (40 sites) a step
+    lattice = (np.arange(20)[:, None] / 19.0 + 1j * np.arange(10)[None, :] / 9.0).ravel()
+    sites = apply_deformation(DeformationSpec.rotational(), lattice)
+    assert _tile_period(sites) == 10 and _strip(10, sites.size) == 40
+    for model in _PERIODIC_MODELS:
+        _check_schur_factor(model, sites, 40)
+
+
+def test_evenly_spaced_line_draws_in_merged_strips():
+    # a line repeats site by site (period 1); its draw takes strips of 40, the
+    # smallest multiple of the period that divides 240 and holds MIN_STRIP
+    # sites, so it runs 6 steps and not 240, from one kernel row of 240
+    # distances copied into the strip's 40 rows
+    line = np.linspace(0.0, 1.0, 240) * np.exp(0.3j) + 0.2
+    assert _tile_period(line) == 1 and MIN_STRIP == 32 and _strip(1, 240) == 40
+    for model in _PERIODIC_MODELS:
+        _check_schur_factor(model, line, 40)
+        stats = {}
+        _draw_tile(model, line, np.ones((1, 240)), stats)
+        assert stats == {"kernel_entries": 240}
+    # periods that already reach MIN_STRIP stay; a tile that no smaller
+    # multiple divides is one strip and is drawn densely
+    cases = [(50, 2500), (60, 3600), (12, 144), (1, 8), (4, 16), (1, 997), (997, 997)]
+    assert [_strip(p, n) for p, n in cases] == [50, 60, 36, 8, 16, 997, 997]
+
+
+def test_tiles_with_no_period_draw_by_the_dense_factor():
+    # scattered sites, and a bent lattice with one site moved, have no period:
+    # each draw is dpotrf's factor times its seeded normals, bit for bit,
+    # also for a translated copy that shares the first tile's factor
+    m = CovarianceModel.matern(1.0, 0.4, 0.85)
+    rng = np.random.default_rng(8)
+    scattered = rng.uniform(size=60) + 1j * rng.uniform(size=60)
+    ax = np.arange(8) / 7.0
+    moved = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
+    moved[10] += 1e-6
+    for sites in (scattered, moved):
+        n = sites.size
+        assert _tile_period(sites) == n
+        factor = _dense_factor(m, sites)
+        got = simulate_isotropic(m, sites, 3).values
+        seq = np.random.SeedSequence(3)
+        assert np.array_equal(got, factor @ np.random.default_rng(seq).standard_normal(n))
+        both = np.concatenate([sites, sites + 5.0])
+        got = simulate_isotropic(m, both, 3, blocks=[np.arange(n), np.arange(n, 2 * n)]).values
+        for k in (0, 1):
+            seq = np.random.SeedSequence(3, spawn_key=(k,))
+            want = factor @ np.random.default_rng(seq).standard_normal(n)
+            assert np.array_equal(got[k * n : (k + 1) * n], want)
+
+
+def _repeated_strips():
+    line = np.linspace(0.0, 1.0, 40) * np.exp(0.3j) + 0.2
+    return np.tile(line, 2)  # period 40: the second strip is a copy of the first
+
+
+def _doubled_sites():
+    return np.repeat(np.linspace(0.0, 1.0, 64) + 0.5j, 2)  # period 2, strips of 32
+
+
+def _doubled_bent_lattice():
+    ax = np.arange(8) / 7.0
+    sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
+    return np.repeat(sites, 2)  # period 16, strips of 32
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_repeated_strips, _doubled_sites, _doubled_bent_lattice],
+    ids=["repeated-strips", "doubled-sites", "doubled-bent-lattice"],
+)
+def test_periodic_tiles_with_repeated_sites_take_the_dense_rung(case, monkeypatch):
+    # a repeated site makes a periodic tile's covariance singular: the block
+    # Schur draw fails at rung 0 and passes at 1e-12, as dpotrf does on the
+    # dense matrix; the copies of a site draw the same value within 1e-5,
+    # and with no rung left the error reports the whole matrix's spectrum
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
+    sites = case()
+    n = sites.size
+    strip = _strip(_tile_period(sites), n)
+    assert strip < n
+    v = m.variance
+    upper = _covariance_upper(m, sites, v)
+    assert dpotrf(upper.T, lower=1)[1] != 0
+    assert dpotrf(_covariance_upper(m, sites, v + 1e-12 * v).T, lower=1)[1] == 0
+    z = np.random.default_rng(1).standard_normal((1, n))
+    draws, rung = _draw_tile(m, sites, z)
+    assert rung == 1
+    _, first, inverse = np.unique(sites, return_index=True, return_inverse=True)
+    assert np.max(np.abs(draws[0] - draws[0][first][inverse])) <= 1e-5
+    eigs = np.linalg.eigvalsh(upper, UPLO="U")
+    monkeypatch.setattr(fields, "JITTER_LADDER", (0.0,))
+    with pytest.raises(SimulationError) as err:
+        _draw_tile(m, sites, z)
+    assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -366,23 +491,28 @@ def test_covariance_eval_works_in_one_copy_of_its_input(model):
 
 
 def test_cholesky_allocates_no_copy_of_the_tile():
-    # the matrix (n^2 doubles), which the factor then overwrites, and the
-    # kernel's slabs: one row of n for the evenly spaced line (period 1), and
-    # SLAB_ROWS rows at a time (about 0.25 n^2 at n = 1000) for the tile with
-    # a repeated site, which has no period; no second copy of the tile, and
-    # a failed rung's matrix is dropped before the next rung's is built
+    # the evenly spaced line (period 1) is drawn in strips of s = 40 from its
+    # first block row: the row, two 2s x n generator buffers and the draws,
+    # about 5 s n doubles where a dense factor takes n^2.  The tile with a
+    # repeated site has no period: its matrix (n^2 doubles), which the factor
+    # then overwrites, and SLAB_ROWS rows of kernel slabs at a time (about
+    # 0.25 n^2 at n = 1000); no second copy of the tile, and a failed rung's
+    # matrix is dropped before the next rung's is built
     n = 1000
     model = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
     clean = np.linspace(0.0, 1.0, n) + 0.0j
     repeated = np.append(clean[:-1], clean[0])
-    for rung, sites, bound in ((0, clean, 1.02), (1, repeated, 1.3)):
+    strip = _strip(_tile_period(clean), n)
+    assert strip == 40 and _tile_period(repeated) == n
+    z = np.ones((1, n))
+    for rung, sites, bound in ((0, clean, 6 * strip * n * 8), (1, repeated, 1.3 * n * n * 8)):
         tracemalloc.start()
         try:
-            assert _tile_factor(model, sites)[1] == rung
+            assert _draw_tile(model, sites, z)[1] == rung
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * n * n * 8
+        assert peak < bound
 
 
 def test_cholesky_failure_reports_the_original_spectrum(monkeypatch):
@@ -400,7 +530,7 @@ def test_cholesky_failure_reports_the_original_spectrum(monkeypatch):
     assert f"eigenvalue range [{left[0]:.3e}, {left[-1]:.3e}]" != expected
     monkeypatch.setattr(fields, "JITTER_LADDER", (0.0,))
     with pytest.raises(SimulationError) as err:
-        _tile_factor(m, twice)
+        _draw_tile(m, twice, np.eye(twice.size))
     assert expected in str(err.value)
 
 
@@ -418,8 +548,8 @@ def test_simulation_counts_jittered_tiles():
     assert dpotrf(cov, lower=1)[1] != 0
     expected, info = dpotrf(shifted, lower=1)
     assert info == 0
-    factor, rung = _tile_factor(m, twice)
-    assert np.array_equal(factor, expected)
+    draws, rung = _draw_tile(m, twice, np.eye(twice.size))  # one strip: the dense factor
+    assert np.array_equal(draws.T, expected)
     assert rung == 1
     stats = {}
     draw = simulate_isotropic(m, twice, 0, stats=stats)
@@ -443,35 +573,47 @@ def test_simulation_counts_jittered_tiles():
 
 def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
     # a failed rung drops its matrix and the next rung builds a new one:
-    # one build per rung tried, one per congruence group
-    diagonals = []
+    # one build per rung tried, one per congruence group.  A tile with no
+    # period builds its whole matrix; a periodic one its first block row
+    # alone, 40 rows here, and the whole matrix only for a failure's spectrum
+    builds = []
 
-    def build(model, locations, diagonal, stats=None):
-        diagonals.append(diagonal)
-        return _covariance_upper(model, locations, diagonal, stats)
+    def build(model, locations, diagonal, stats=None, rows=None):
+        builds.append((diagonal, rows))
+        return _covariance_upper(model, locations, diagonal, stats, rows)
 
     monkeypatch.setattr(fields, "_covariance_upper", build)
     m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
     pts = np.linspace(0, 1, 8) + 0.5j
     twice = np.append(pts, pts[3])
-    for sites, builds in ((pts, [1.0]), (twice, [1.0, 1.0 + 1e-12])):
-        diagonals.clear()
+    line = np.linspace(0, 1, 80) + 0.5j
+    copied = np.tile(line[:40], 2)  # two strips of 40, the second a copy of the first
+    for sites, rows, diagonals in (
+        (pts, None, [1.0]),
+        (twice, None, [1.0, 1.0 + 1e-12]),  # rung 0, then rung 1 for the repeated site
+        (line, 40, [1.0]),
+        (copied, 40, [1.0, 1.0 + 1e-12]),
+    ):
+        want = [(d, rows) for d in diagonals]
+        builds.clear()
         simulate_isotropic(m, sites, 0)
-        assert diagonals == builds  # rung 0, then rung 1 for the repeated site
+        assert builds == want
         # two congruent tiles: one group, built as often as one tile
-        diagonals.clear()
+        builds.clear()
         stats = {}
         both = np.concatenate([sites, sites + 4.0])
         blocks = [np.arange(sites.size), np.arange(sites.size, both.size)]
         simulate_isotropic(m, both, 0, blocks=blocks, stats=stats)
-        assert diagonals == builds
+        assert builds == want
         assert stats["factors"] == 1
-    # every rung fails: one build per rung, and one more for the spectrum
+    # every rung fails: one build per rung, and one of the whole matrix for
+    # the spectrum
     monkeypatch.setattr(fields, "JITTER_LADDER", (0.0, 1e-300))
-    diagonals.clear()
-    with pytest.raises(SimulationError):
-        simulate_isotropic(m, twice, 0)
-    assert diagonals == [1.0, 1.0, 1.0]
+    for sites, rows in ((twice, None), (copied, 40)):
+        builds.clear()
+        with pytest.raises(SimulationError):
+            simulate_isotropic(m, sites, 0)
+        assert builds == [(1.0, rows), (1.0, rows), (1.0, None)]
 
 
 @pytest.mark.parametrize(
@@ -482,7 +624,7 @@ def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
 def test_simulation_exact_cap(monkeypatch, blocks):
     # one site over the cap is refused before any covariance is built, even
     # when a tile that fits comes first
-    def build(model, locations, diagonal):
+    def build(*args, **kwargs):
         raise AssertionError("a covariance was built before the cap check")
 
     monkeypatch.setattr(fields, "_covariance_upper", build)
@@ -496,30 +638,32 @@ def test_simulation_exact_cap(monkeypatch, blocks):
 def test_draws_are_the_factor_times_the_seeded_normals():
     # an untiled draw is the one tile drawn from SeedSequence(seed); tile k
     # of a tiled draw draws from SeedSequence(seed, spawn_key=(k,)) by the
-    # factor of the first tile of its congruence group
+    # factor of the first tile of its congruence group.  The 64 sites repeat
+    # in strips of 8 and are drawn in two steps of 32 by the block Schur
+    # algorithm, within rounding of the dense oracle; the 16-site tiles are
+    # one strip each and take the dense factor's product bit for bit
     m = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     ax = np.arange(8) / 7.0
     sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
 
-    def factor(z):
-        return _tile_factor(m, z)[0]
-
     def normals(seq, size):
         return np.random.default_rng(seq).standard_normal(size)
 
+    assert _strip(_tile_period(sites), sites.size) == 32
     got = simulate_isotropic(m, sites, 5).values
-    assert np.array_equal(got, factor(sites) @ normals(np.random.SeedSequence(5), sites.size))
+    want = _dense_factor(m, sites) @ normals(np.random.SeedSequence(5), sites.size)
+    assert np.max(np.abs(got - want)) <= 1e-12
     blocks = simulation_blocks(8, 8, 4)
     groups = congruent_tiles(sites, blocks)
     assert groups == [[0, 2], [1, 3]]  # tiles a shift in x apart are rotated copies
     got = simulate_isotropic(m, sites, 5, blocks=blocks).values
     for members in groups:
-        shared = factor(sites[blocks[members[0]]])
+        shared = _dense_factor(m, sites[blocks[members[0]]])
         for k in members:
             idx = blocks[k]
             z = normals(np.random.SeedSequence(5, spawn_key=(k,)), idx.size)
             assert np.array_equal(got[idx], shared @ z)
-            own = factor(sites[idx]) @ z
+            own = _dense_factor(m, sites[idx]) @ z
             if k == members[0]:
                 assert np.array_equal(got[idx], own)
             assert np.max(np.abs(got[idx] - own)) <= 1e-12

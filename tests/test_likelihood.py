@@ -27,6 +27,7 @@ from deformfield.likelihood import (
     _newton_lockstep,
     _profiled_nll,
     _shared_blocks,
+    _whiten,
     DilatationScaleField,
     NeighborhoodPartition,
     block_contrasts,
@@ -217,6 +218,47 @@ def test_estimate_alpha_leaves_out_blocks_without_signal():
     keep = np.flatnonzero(contrasts.signal)
     sub = NeighborhoodPartition(part.blocks[keep], part.centers[keep], part.geometry)
     assert estimate_alpha(contrasts) == estimate_alpha(block_contrasts(data, sub))
+
+
+def test_signal_floor_is_relative_to_each_block():
+    # constant blocks leave rounding residue in their contrasts that grows
+    # with their level; they are left out at every level, with the same
+    # alpha-hat, and a field scaled by 1e-13 keeps its signal mask
+    model = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
+    data = _simulated_field(60, model, seed=0, tile=30)
+    part = partition_grid(60, 60, 10, spacing=(0.01, 0.01))
+    flat = np.arange(16, 36)
+    alphas = []
+    for level in (0.25, 10.0, 1000.0):
+        values = data.values.copy()
+        values[part.blocks[flat]] = level
+        contrasts = block_contrasts(SampleField(data.locations, values), part)
+        assert np.flatnonzero(~contrasts.signal).tolist() == flat.tolist()
+        alphas.append(estimate_alpha(contrasts))
+        scaled = block_contrasts(SampleField(data.locations, 1e-13 * values), part)
+        assert np.array_equal(scaled.signal, contrasts.signal)
+    assert alphas[0] == alphas[1] == alphas[2]
+    assert block_contrasts(SampleField(data.locations, 1e-13 * data.values), part).signal.all()
+
+
+def test_whiten_skips_the_grouping_when_rows_share_one_point(monkeypatch):
+    # the alpha search scores every row at mu = 0: the call gives the same
+    # bits as the sorted grouping of np.unique
+    model = CovarianceModel.powered_exponential(1.0, 1.0, 0.7)
+    contrasts = block_contrasts(
+        _simulated_field(20, model, seed=5), partition_grid(20, 20, 10, spacing=(0.01, 0.01))
+    )
+    n = len(contrasts.ytilde)
+    args = (contrasts.table, contrasts.ytilde, 0.9, np.arange(n)[::-1], np.zeros((n, 2)))
+    quick = _whiten(*args)
+
+    def grouped(x):
+        points, point_of = np.unique(x, axis=0, return_inverse=True)
+        return points, point_of.ravel()
+
+    monkeypatch.setattr(likelihood, "_point_groups", grouped)
+    for got, want in zip(quick, _whiten(*args)):
+        assert np.array_equal(got, want)
 
 
 def test_estimate_alpha_needs_a_block_with_signal():

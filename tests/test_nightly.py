@@ -1,8 +1,9 @@
 """Large-lattice run, excluded from the default suite, and its tier-1 guard.
 
 Run with: pytest -m nightly tests/test_nightly.py -s
-One realization at 400x400 takes about 4 s with BLAS on one thread on a
-2-vCPU Xeon; the targets are distributional bands around published
+One realization at 400x400 takes about 3 s with BLAS on one thread on a
+2-vCPU Xeon (simulate about 0.5-0.7 s, estimate about 2.2 s), printed stage
+by stage with -s; the targets are distributional bands around published
 single-realization values, not exact numbers.  The grouping and period
 guards below run in the default suite: they build no covariance.
 """
@@ -84,12 +85,19 @@ def test_tiles_repeat_lattice_column_by_column():
 
 @pytest.mark.nightly
 def test_full_scale_pipeline(tmp_path):
-    t0 = time.monotonic()
-    metrics = df.run_pipeline(_full_scale_config(), str(tmp_path / "full"))
-    elapsed = time.monotonic() - t0
+    # the four stages one by one, as run_pipeline runs them, each timed
+    cfg, out = _full_scale_config(), str(tmp_path / "full")
+    times = {}
+    for stage in ("simulate", "estimate", "reconstruct", "evaluate"):
+        t0 = time.perf_counter()
+        result = getattr(df, f"stage_{stage}")(cfg, out)
+        times[stage] = time.perf_counter() - t0
+    metrics = result  # stage_evaluate's
     print(
         f"full scale: alpha {metrics['alpha']:.4f}, d1 {metrics['d1']:.4f}, "
-        f"d2 {metrics['d2']:.4f}, {elapsed:.0f}s"
+        f"d2 {metrics['d2']:.4f}; "
+        + ", ".join(f"{stage} {t:.2f}s" for stage, t in times.items())
+        + f", total {sum(times.values()):.2f}s"
     )
     assert 0.676 < metrics["alpha"] < 0.716
     assert 0.0282 < metrics["d1"] < 0.1126
