@@ -5,7 +5,18 @@ Z with fractional local behavior and an orientation-preserving planar
 map finv.  From one dense realization the package estimates the fractal
 index, the local dilatation and scale of the map, and rebuilds the map
 itself up to a rigid motion.
+
+Importing the package pins the BLAS and OpenMP pools to one thread unless
+the environment already sets them: the block fits and the Schur draws make
+many small LAPACK calls, which run several times slower on more threads.
+numpy reads the variables once, when it loads its BLAS, so a caller who
+imported numpy first keeps the pools numpy started with.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .config import PipelineConfig, parse_config, read_config, write_config
 from .conformal import (

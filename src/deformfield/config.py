@@ -25,7 +25,7 @@ from .fields import (
     simulation_blocks,
 )
 from .grids import ComplexGrid, Grid, atomic_write_text, read_grd
-from .likelihood import ALPHA_FLOOR, NeighborhoodPartition, contrast_degree, partition_grid
+from .likelihood import ALPHA_FLOOR, NeighborhoodPartition, check_lag_table, partition_grid
 
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")
 
@@ -109,12 +109,12 @@ class PipelineConfig:
             raise ConfigError(
                 f"alpha_max must exceed {ALPHA_FLOOR} and be finite, got {self.alpha_max}"
             )
-        # the covariance model, the contrasts and the deformation own their
-        # parameter rules; a grid map is read from its file by the stages,
-        # whose read errors are I/O failures
+        # the covariance model, the contrasts with their lag table and the
+        # deformation own their parameter rules; a grid map is read from its
+        # file by the stages, whose read errors are I/O failures
         try:
             self.build_model()
-            contrast_degree(self.alpha_max, self.block)
+            check_lag_table(self.alpha_max, self.block)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.deform != "grid_map":

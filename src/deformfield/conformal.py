@@ -21,6 +21,9 @@ from .likelihood import DilatationScaleField
 log = logging.getLogger(__name__)
 
 GAUSS_NODES = 32  # Gauss-Legendre nodes of the one panel from 0 to each point
+# Points per quadrature batch: each temporary holds 256 x 32 complex values
+# (128 kB), where a 96 x 96 lattice at once would take 4.7 MB per array.
+_QUAD_CHUNK = 256
 
 
 @dataclass
@@ -76,13 +79,18 @@ def integrate_hprime(fit: HarmonicFit, eval_points) -> np.ndarray:
     One Gauss-Legendre panel of GAUSS_NODES nodes on each ray.  Disk points
     lie within distance 1 of the origin, and for these smooth integrands the
     single panel reaches quadrature-level accuracy.  Scalar or array points
-    give values alike.
+    give values alike; the points go through the panel _QUAD_CHUNK at a time.
     """
     pts = np.asarray(eval_points, dtype=np.complex128)
     nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
-    zeta = pts[..., None] * (0.5 * (nodes + 1.0))  # the nodes mapped onto [0, w]
-    vals = np.exp(np.polynomial.polynomial.polyval(zeta, fit.coefficients))
-    return pts * np.sum(0.5 * weights * vals, axis=-1)
+    fractions, half_weights = 0.5 * (nodes + 1.0), 0.5 * weights  # the nodes mapped onto [0, 1]
+    flat = pts.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _QUAD_CHUNK):
+        w = flat[start : start + _QUAD_CHUNK]
+        vals = np.exp(np.polynomial.polynomial.polyval(w[:, None] * fractions, fit.coefficients))
+        out[start : start + w.size] = w * np.sum(half_weights * vals, axis=-1)
+    return out.reshape(pts.shape)[()]
 
 
 def compose_estimate(

@@ -188,11 +188,14 @@ def block_contrasts(
     with the lag table of their shared geometry (3.2 MB at block 10, growing
     as block^6: 41 MB at 15, 0.24 GB at 20).
 
-    Raises ValueError unless every block is a translate of the first, as
-    partition_grid makes them.  estimate_alpha and estimate_field score
-    only the blocks whose contrasts carry signal: finite, with a norm above
-    _SIGNAL_FLOOR times that of the block's values.
+    Raises ValueError, before any table is built, where the table would
+    exceed MAX_LAG_TABLE_BYTES, and unless every block is a translate of
+    the first, as partition_grid makes them.  estimate_alpha and
+    estimate_field score only the blocks whose contrasts carry signal:
+    finite, with a norm above _SIGNAL_FLOOR times that of the block's
+    values.
     """
+    check_lag_table(alpha_max, partition.geometry["block"])
     rel, rows, ytilde = _shared_blocks(data, partition, alpha_max)
     values = data.values[np.asarray(partition.blocks, dtype=np.intp)]
     signal = np.all(np.isfinite(ytilde), axis=1) & (
@@ -289,6 +292,11 @@ _STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], dtype=
 # at block 10), so a chunk stays near 1 MB.
 _EVAL_ROWS = 64
 
+# The largest lag table a block size and contrast degree may need, checked
+# before any table is built (lag_table_bytes): block 25 at alpha_max 4 needs
+# 0.86 GiB, block 30 2.7 GiB.
+MAX_LAG_TABLE_BYTES = 1 << 30
+
 
 def _modulus(z: np.ndarray) -> np.ndarray:
     # hypot, as Python's abs() of a complex uses; np.abs can round differently
@@ -337,6 +345,43 @@ class _LagTable:
     lags: np.ndarray  # (classes,) one offset h_l per class
     groups: tuple[slice, ...]  # the rows of each diagonal block
     weights: np.ndarray  # (classes, sum over groups of m_g (m_g + 1) / 2)
+
+
+def lag_table_bytes(alpha_max: float, block: int) -> int:
+    """Bytes of the lag table of a block x block square of sites with
+    contrasts of degree contrast_degree(alpha_max, block), as _lag_table
+    shapes it: classes x packed columns of both parity groups x 8.
+
+    On the square's sites the monomials x^i y^j with i, j < block are
+    independent, and a higher power of x or y reduces to lower ones of its
+    own parity, so the even contrasts number the even sites less the even
+    monomials x^i y^j with i, j < block and i + j <= degree, and the odd
+    ones likewise.  (increment_matrix's numerical rank can fall short of
+    that count at degrees near 2 (block - 1) on large blocks, where the
+    table is far below the cap.)  Raises ValueError where contrast_degree
+    does.
+    """
+    degree = contrast_degree(alpha_max, block)
+    monomials = [0, 0]  # even, odd
+    for i in range(min(block, degree + 1)):
+        for j in range(min(block, degree - i + 1)):
+            monomials[(i + j) % 2] += 1
+    sites = block * block
+    even, odd = (sites + 1) // 2 - monomials[0], sites // 2 - monomials[1]
+    classes = ((2 * block - 1) ** 2 - 1) // 2
+    return classes * (even * (even + 1) // 2 + odd * (odd + 1) // 2) * 8
+
+
+def check_lag_table(alpha_max: float, block: int) -> None:
+    """Raise ValueError, naming the size, where lag_table_bytes exceeds
+    MAX_LAG_TABLE_BYTES, or where contrast_degree raises."""
+    size = lag_table_bytes(alpha_max, block)
+    if size > MAX_LAG_TABLE_BYTES:
+        raise ValueError(
+            f"block = {block} with alpha_max = {alpha_max} needs a lag table of "
+            f"{size / 2**30:.2f} GiB, above the cap of {MAX_LAG_TABLE_BYTES / 2**30:g} GiB; "
+            "use a smaller block"
+        )
 
 
 def _lag_table(z: np.ndarray, rows: np.ndarray) -> _LagTable:
@@ -404,23 +449,26 @@ def _whiten(
     Row i scores point x[i] on the contrasts ytilde[which[i]].  Sigma_1 is
     block-diagonal over the table's row groups, so each group at a point
     has its own factor and its own triangular solve of the contrasts of
-    all rows at that point.  The whitened contrasts and the factor
-    diagonals are reduced to the quadratic forms and log determinants once
-    per call.  The log determinant is +inf where LAPACK cannot factorize
-    Sigma_1.  ``product``, of at least _EVAL_ROWS rows and a column per
-    table weight, holds the kernel-to-Sigma product; without it the call
-    allocates its own.
+    all rows at that point.  The points go in chunks of _EVAL_ROWS: a
+    chunk gathers the contrasts of its rows, whitens them, and reduces
+    them and its factor diagonals to the quadratic forms and log
+    determinants.  The log determinant is +inf where LAPACK cannot
+    factorize Sigma_1.  ``product``, of at least _EVAL_ROWS rows and a
+    column per table weight, holds the kernel-to-Sigma product; without it
+    the call allocates its own.
     """
     m = ytilde.shape[1]
     points, point_of = _point_groups(x)
     order = np.argsort(point_of, kind="stable")
     edges = np.searchsorted(point_of[order], np.arange(len(points) + 1))
-    white = ytilde[which[order]]  # rows in point order, whitened in place
-    diag = np.ones((len(points), m))
-    # one product for every chunk, and with `product` for every call of a
-    # fit: fresh pages would be faulted in each time
+    # one product and one diagonal buffer for every chunk, and with
+    # `product` for every call of a fit: fresh pages would be faulted in
+    # each time
     if product is None:
         product = np.empty((min(len(points), _EVAL_ROWS), table.weights.shape[1]))
+    diag = np.empty((min(len(points), _EVAL_ROWS), m))
+    half_logdet = np.empty(len(points))
+    quad = np.empty(len(which))
     packs, at = [], 0
     for group in table.groups:
         size = group.stop - group.start
@@ -431,19 +479,22 @@ def _whiten(
         mu = _mu_from_x(points[start : start + _EVAL_ROWS])
         kernel = g_alpha(alpha, np.abs(h + mu[:, None] * h_conj))
         upper = np.matmul(kernel, table.weights, out=product[: mu.size])
-        for point in range(start, start + mu.size):
-            rows = slice(edges[point], edges[point + 1])
+        first = edges[start]
+        chunk = order[first : edges[start + mu.size]]
+        white = ytilde[which[chunk]]  # the chunk's rows in point order, whitened in place
+        for k in range(mu.size):
+            rows = slice(edges[start + k] - first, edges[start + k + 1] - first)
             for group, size, pack in packs:
-                lower = dtpttr(size, upper[point - start, pack], uplo="L")[0]
+                lower = dtpttr(size, upper[k, pack], uplo="L")[0]
                 factor, info = dpotrf(lower, lower=1, clean=0, overwrite_a=1)
                 if info:
-                    diag[point] = np.inf
+                    diag[k] = np.inf
                     break
                 white[rows, group] = dtrtrs(factor, white[rows, group].T, lower=1)[0].T
-                diag[point, group] = factor.diagonal()
-    quad = np.empty(len(which))
-    quad[order] = np.sum(white * white, axis=1)
-    return np.sum(np.log(diag), axis=1)[point_of], quad
+                diag[k, group] = factor.diagonal()
+        half_logdet[start : start + mu.size] = np.sum(np.log(diag[: mu.size]), axis=1)
+        quad[chunk] = np.sum(white * white, axis=1)
+    return half_logdet[point_of], quad
 
 
 def _profiled_nll(

@@ -14,6 +14,10 @@ from .grids import ComplexGrid, atomic_write_text
 
 _W = 640
 _PAD = 40
+# Rows per chunk of the smallest-gap search between glyph centers: with
+# 1600 centers a chunk's differences and gaps take 1.2 MB, the whole
+# matrix 61 MB.
+_GAP_ROWS = 32
 
 
 def _scene(xmin, xmax, ymin, ymax):
@@ -45,6 +49,17 @@ def _document(width, height, body: list[str]) -> str:
     return "\n".join([head, frame, *body, "</svg>"]) + "\n"
 
 
+def _smallest_gap(points: np.ndarray) -> float:
+    """The smallest distance between two of points, _GAP_ROWS rows of gaps at a time."""
+    lows = []
+    for start in range(0, points.size, _GAP_ROWS):
+        gaps = np.abs(points[start : start + _GAP_ROWS, None] - points[None, :])
+        rows = np.arange(len(gaps))
+        gaps[rows, start + rows] = np.inf  # a point's gap to itself
+        lows.append(np.min(gaps))
+    return float(np.min(lows))
+
+
 def ellipse_field_svg(path: str, centers, mu, title: str = "") -> None:
     """One ellipse glyph per estimation block.
 
@@ -58,12 +73,7 @@ def ellipse_field_svg(path: str, centers, mu, title: str = "") -> None:
         raise ValueError("no glyph centers")
     xs, ys = centers.real, centers.imag
     width, height, to_pix = _scene(xs.min(), xs.max(), ys.min(), ys.max())
-    if centers.size > 1:
-        gaps = np.abs(centers[:, None] - centers[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        step = float(np.min(gaps))
-    else:
-        step = 1.0
+    step = _smallest_gap(centers) if centers.size > 1 else 1.0
     rad = 0.4 * step * (width - 2 * _PAD) / max(xs.max() - xs.min(), step)
     body = []
     if title:

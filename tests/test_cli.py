@@ -1,12 +1,14 @@
 """Command line interface: exit codes, messages, and a small run."""
 
 import dataclasses
+import filecmp
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -269,6 +271,57 @@ def test_oversized_simulation_exits_two(tmp_path, capsys, side, sim_block, sites
     err = capsys.readouterr().err
     assert err.startswith(f"error: sim_block = {sim_block} needs an exact draw of {sites} sites")
     assert err.count("\n") == 1 and not os.path.exists(out)
+
+
+def test_oversized_lag_table_exits_two(tmp_path, capsys):
+    # block 40 on a 400 x 400 lattice would need a 15 GB lag table
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(
+        path, out_dir=str(out), grid_nx=400, grid_ny=400, spacing_x=0.0025,
+        spacing_y=0.0025, block=40, alpha_max=4.0,
+    )
+    t0 = time.perf_counter()
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err == (
+        "error: block = 40 with alpha_max = 4.0 needs a lag table of 14.78 GiB, "
+        "above the cap of 1 GiB; use a smaller block\n"
+    )
+    assert not os.path.exists(out)
+    _mini_cfg_file(
+        path, grid_nx=400, grid_ny=400, spacing_x=0.0025, spacing_y=0.0025, block=20
+    )
+    read_config(str(path))  # 0.22 GiB: parse_config validates
+
+
+def test_plain_run_pins_blas_threads_itself(tmp_path):
+    # a run with the thread variables removed writes the bytes of a pinned
+    # one; a caller's own setting is kept
+    path = tmp_path / "run.cfg"
+    _mini_cfg_file(path)
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    plain = {k: v for k, v in os.environ.items() if k not in names}
+    pinned = {**plain, **dict.fromkeys(names, "1")}
+    for tag, env in (("plain", plain), ("pinned", pinned)):
+        subprocess.run(
+            [sys.executable, "-m", "deformfield.cli", "pipeline", "--config", str(path),
+             "--out", str(tmp_path / tag)],
+            env=env, check=True, capture_output=True,
+        )
+    files = sorted(os.listdir(tmp_path / "pinned"))
+    assert len(files) == 14 and sorted(os.listdir(tmp_path / "plain")) == files
+    match, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "plain", tmp_path / "pinned", files, shallow=False
+    )
+    assert match == files, (mismatch, errors)
+    show = "import os, deformfield; print(*(os.environ[k] for k in {!r}))".format(names)
+    for env, want in ((plain, "1 1 1"), ({**plain, "OPENBLAS_NUM_THREADS": "2"}, "2 1 1")):
+        proc = subprocess.run(
+            [sys.executable, "-c", show], env=env, check=True, capture_output=True, text=True
+        )
+        assert proc.stdout.split() == want.split()
 
 
 def test_estimate_before_simulate_exits_two(tmp_path, capsys):

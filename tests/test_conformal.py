@@ -1,9 +1,12 @@
 """Conformal scale correction and deformation distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deformfield.conformal import (
+    GAUSS_NODES,
     compose_estimate,
     distance_d1,
     distance_d2,
@@ -134,6 +137,48 @@ def test_integrate_scalar_input():
     out = integrate_hprime(fit, 0.3 + 0.2j)
     assert np.ndim(out) == 0
     assert abs(out - (np.exp(0.3 + 0.2j) - 1.0)) < 1e-10
+
+
+def _one_panel(fit, pts):
+    # the quadrature over every point at once, as one array per node
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    zeta = pts[..., None] * (0.5 * (nodes + 1.0))
+    vals = np.exp(np.polynomial.polynomial.polyval(zeta, fit.coefficients))
+    return pts * np.sum(0.5 * weights * vals, axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 9216])
+def test_integrate_in_chunks_matches_one_panel_over_all_points(n):
+    # points on either side of a chunk edge, in 1-d and 2-d arrays and
+    # alone, get the bits of the whole-array quadrature
+    rng = np.random.default_rng(n)
+    fit = _fit_with(0.3 * (rng.normal(size=9) + 1j * rng.normal(size=9)))
+    w = _disk_points(rng, n, rmax=0.95)
+    want = _one_panel(fit, w)
+    shapes = [(n,), (1, n), (n, 1)] + ([(96, 96)] if n == 9216 else [])
+    for shape in shapes:
+        got = integrate_hprime(fit, w.reshape(shape))
+        assert got.shape == shape and np.array_equal(got.ravel(), want), shape
+    one = integrate_hprime(fit, complex(w[-1]))
+    assert isinstance(one, np.complex128) and one == want[-1]
+
+
+def test_compose_holds_no_whole_lattice_quadrature():
+    # a 96 x 96 map: the quadrature over all points at once held 9216 x 32
+    # complex values per temporary, and the call peaked near 19 MB
+    n = 96
+    base = _unit_square_grid(n)
+    f_check = base.with_values(base.values + 0.1 * base.values**2)
+    phi_check = Grid(n, n, base.origin, base.spacing, np.ones((n, n)))
+    field = _field_with_phi(n, 6, lambda c: 1.0 + 0.3 * c.real)
+    compose_estimate(f_check, phi_check, field, n_max=8)  # warm up
+    tracemalloc.start()
+    try:
+        compose_estimate(f_check, phi_check, field, n_max=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dtpttr
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrtrs
 
 from deformfield import likelihood
 from deformfield.errors import EstimationError
@@ -25,13 +25,16 @@ from deformfield.likelihood import (
     _lag_table,
     _mu_from_x,
     _newton_lockstep,
+    _point_groups,
     _profiled_nll,
     _shared_blocks,
     _whiten,
     DilatationScaleField,
     NeighborhoodPartition,
+    MAX_LAG_TABLE_BYTES,
     block_contrasts,
     contrast_degree,
+    lag_table_bytes,
     estimate_alpha,
     estimate_field,
     partition_grid,
@@ -545,6 +548,71 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
         assert s_hat[i] == pytest.approx(one_s[0], rel=1e-12), i
 
 
+def _whiten_at_once(table, ytilde, alpha, which, x):
+    # every row gathered, whitened and reduced in one pass over all points
+    m = ytilde.shape[1]
+    points, point_of = _point_groups(x)
+    order = np.argsort(point_of, kind="stable")
+    edges = np.searchsorted(point_of[order], np.arange(len(points) + 1))
+    white = ytilde[which[order]]
+    diag = np.ones((len(points), m))
+    # the kernel-to-Sigma product in the fits' chunks of points, whose bits
+    # a product of another row count need not repeat
+    h = table.lags
+    upper = np.vstack([
+        g_alpha(alpha, np.abs(h + mu[:, None] * np.conj(h))) @ table.weights
+        for mu in (_mu_from_x(points[s : s + _EVAL_ROWS]) for s in range(0, len(points), _EVAL_ROWS))
+    ])
+    for point in range(len(points)):
+        rows = slice(edges[point], edges[point + 1])
+        at = 0
+        for group in table.groups:
+            size = group.stop - group.start
+            pack = slice(at, at + size * (size + 1) // 2)
+            at = pack.stop
+            lower = dtpttr(size, upper[point, pack], uplo="L")[0]
+            factor, info = likelihood.dpotrf(lower, lower=1, clean=0, overwrite_a=1)
+            if info:
+                diag[point] = np.inf
+                break
+            white[rows, group] = dtrtrs(factor, white[rows, group].T, lower=1)[0].T
+            diag[point, group] = factor.diagonal()
+    quad = np.empty(len(which))
+    quad[order] = np.sum(white * white, axis=1)
+    return np.sum(np.log(diag), axis=1)[point_of], quad
+
+
+@pytest.mark.parametrize("n_points", [63, 64, 65, 130])
+def test_whiten_in_chunks_matches_one_pass_over_all_points(n_points, monkeypatch):
+    # one to three rows per point, shuffled, across the edges of the chunks
+    # of _EVAL_ROWS points; the odd-row factor of the 40th point fails, so
+    # its rows get +inf in both
+    rel, rows, ytilde = _block_contrasts()
+    table = _lag_table(rel, rows)
+    rng = np.random.default_rng(n_points)
+    points = rng.normal(scale=0.8, size=(n_points, 2))
+    x = np.repeat(points, rng.integers(1, 4, size=n_points), axis=0)
+    shuffle = rng.permutation(len(x))
+    x = x[shuffle]
+    which = rng.integers(0, ytilde.shape[0], size=len(x))
+    calls = []
+
+    def failing(a, **kwargs):
+        calls.append(None)
+        factor, info = dpotrf(a, **kwargs)
+        return factor, (1 if len(calls) == 2 * 40 else info)
+
+    monkeypatch.setattr(likelihood, "dpotrf", failing)
+    got = _whiten(table, ytilde, 0.7, which, x)
+    assert len(calls) == 2 * n_points
+    calls.clear()
+    want = _whiten_at_once(table, ytilde, 0.7, which, x)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    infeasible = np.isinf(got[0])
+    assert infeasible.any() and np.all(np.isfinite(got[0][~infeasible]))
+    assert np.all(x[infeasible] == _point_groups(x)[0][39])
+
+
 def test_profiled_nll_reuses_one_set_of_work_arrays():
     # a fit's product array serves a call of more than one chunk, one of
     # fewer points than a chunk and one of none, with the bits of calls that
@@ -601,6 +669,32 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
         sigma = 0.5 * (sigma + sigma.T)
         assert dpotrf(sigma, lower=1)[1] != 0
     assert _alpha_nll(4.5, table, ytilde) == np.inf
+
+
+@pytest.mark.parametrize(
+    "side, alpha_max",
+    # degrees 1 to 3; at degree 6 on a 5 x 5 block and at degree 3 on a
+    # 3 x 3 one (a lone even contrast) powers of x and y reach the block side
+    [(5, 2.0), (5, 4.0), (10, 4.0), (10, 7.9), (15, 4.0), (5, 12.0), (3, 7.9)],
+)
+def test_lag_table_size_is_known_before_the_table_is_built(side, alpha_max):
+    # noise on a lattice of two blocks a side; the size counts the classes
+    # and the packed columns of both parity groups, as _lag_table shapes them
+    sites = _lattice_sites(2 * side)
+    part = partition_grid(2 * side, 2 * side, side, spacing=(0.01, 0.01))
+    data = SampleField(sites, np.random.default_rng(side).normal(size=sites.size))
+    table = block_contrasts(data, part, alpha_max).table
+    assert lag_table_bytes(alpha_max, side) == table.weights.nbytes
+
+
+def test_block_contrasts_refuse_a_lag_table_above_the_cap():
+    # block 30 at alpha_max 4 needs 2.6 GiB; the refusal comes before any
+    # contrast or table is built
+    assert lag_table_bytes(4.0, 30) > MAX_LAG_TABLE_BYTES > lag_table_bytes(4.0, 20)
+    sites = _lattice_sites(30)
+    data = SampleField(sites, np.random.default_rng(0).normal(size=sites.size))
+    with pytest.raises(ValueError, match=r"block = 30 with alpha_max = 4.0 needs a lag table of 2.60 GiB"):
+        block_contrasts(data, partition_grid(30, 30, 30, spacing=(0.01, 0.01)))
 
 
 @pytest.mark.parametrize("side, n_even", [(10, 46), (5, 9)])

@@ -1,17 +1,18 @@
-"""Large-lattice run, excluded from the default suite, and its tier-1 guard.
+"""The paper's scale: one run on a 400x400 lattice, and its tiling guards.
 
-Run with: pytest -m nightly tests/test_nightly.py -s
-One realization at 400x400 takes about 3 s with BLAS on one thread on a
+Run alone with: pytest tests/test_nightly.py -s
+One realization at 400x400 takes about 3.5 s with BLAS on one thread on a
 2-vCPU Xeon (simulate about 0.5-0.7 s, estimate about 2.2 s), printed stage
-by stage with -s; the targets are distributional bands around published
-single-realization values, not exact numbers.  The grouping and period
-guards below run in the default suite: they build no covariance.
+by stage with -s; the score targets are distributional bands around
+published single-realization values, not exact numbers, and the sidecar
+counts repeat exactly.  The grouping and period guards build no covariance.
 """
 
+import json
+import os
 import time
 
 import numpy as np
-import pytest
 
 import deformfield as df
 from deformfield.fields import _tile_period, apply_deformation, congruent_tiles
@@ -83,7 +84,6 @@ def test_tiles_repeat_lattice_column_by_column():
     assert _tile_period(shuffled) == tile.size
 
 
-@pytest.mark.nightly
 def test_full_scale_pipeline(tmp_path):
     # the four stages one by one, as run_pipeline runs them, each timed
     cfg, out = _full_scale_config(), str(tmp_path / "full")
@@ -102,3 +102,12 @@ def test_full_scale_pipeline(tmp_path):
     assert 0.676 < metrics["alpha"] < 0.716
     assert 0.0282 < metrics["d1"] < 0.1126
     assert 0.0338 < metrics["d2"] < 0.1350
+    # 64 tiles in 8 congruent groups, each drawn from one 50 x 2500 block
+    # row; every one of the 1600 blocks fitted
+    with open(os.path.join(out, "field_meta.json"), encoding="utf-8") as fh:
+        field_counts = json.load(fh)["counts"]
+    with open(os.path.join(out, "estimates_meta.json"), encoding="utf-8") as fh:
+        estimate_counts = json.load(fh)["counts"]
+    assert field_counts["factors"] == 8
+    assert field_counts["kernel_entries"] == 1000000
+    assert estimate_counts["blocks_ok"] == 1600
