@@ -27,6 +27,11 @@ from .fields import (
 from .grids import ComplexGrid, Grid, atomic_write_text, read_grd
 from .likelihood import ALPHA_FLOOR, NeighborhoodPartition, check_lag_table, partition_grid
 
+#: Largest flow lattice side.  The reconstruct stage's tracemalloc peak grows
+#: with the lattice's sites, about 750 bytes each (6.7 MiB at 96, 27.0 MiB at
+#: 192, 107.8 MiB at 384), so a side of 1024 stays near 0.75 GiB, under 1 GiB.
+MAX_FLOW_LATTICE = 1024
+
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")
 
 
@@ -93,7 +98,8 @@ class PipelineConfig:
         for name, lo, hi in (
             ("block", 3, side),  # partition_grid: the block fits the lattice
             ("smooth_window", 1, per_side),  # the window fits the block lattice
-            ("flow_lattice", 3, None),  # spacing 1/(m-1); d2 reads interior cells
+            # spacing 1/(m-1), d2 reads interior cells; the cap bounds reconstruct's memory
+            ("flow_lattice", 3, MAX_FLOW_LATTICE),
             ("flow_steps", 1, None),
             ("harmonic_n", 0, (n_blocks - 1) // 2),  # 2n+1 fit points among the blocks
             ("d1_samples", 1, None),

@@ -220,19 +220,20 @@ def estimate_alpha(contrasts: BlockContrasts, *, stats: dict | None = None) -> f
     candidate alpha is scored at mu = 0 on the lag table and the parity
     factors that estimate_field's fits use, over the blocks whose
     contrasts carry signal.  A given stats dict gets the number of
-    candidates scored (alpha_evals) and of those whose likelihood was +inf
-    (alpha_infeasible).
+    candidates scored (alpha_evals), of those whose likelihood was +inf
+    (alpha_infeasible), and the (alpha, summed negative log likelihood)
+    pairs in the order they were scored (alpha_search).
     """
     if contrasts.alpha_max <= ALPHA_FLOOR:
         raise ValueError("alpha_max must exceed the search floor 0.05")
     if not contrasts.signal.any():
         raise EstimationError("no block's contrasts carry signal: alpha cannot be estimated")
     ytilde = contrasts.ytilde[contrasts.signal]
-    scores = []
+    searched = []
 
     def total(alpha: float) -> float:
-        scores.append(_alpha_nll(alpha, contrasts.table, ytilde))
-        return scores[-1]
+        searched.append((alpha, _alpha_nll(alpha, contrasts.table, ytilde)))
+        return searched[-1][1]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = ALPHA_FLOOR, float(contrasts.alpha_max)
@@ -249,10 +250,11 @@ def estimate_alpha(contrasts: BlockContrasts, *, stats: dict | None = None) -> f
             d = a + invphi * (b - a)
             fd = total(d)
     if stats is not None:
-        stats["alpha_evals"] = stats.get("alpha_evals", 0) + len(scores)
-        stats["alpha_infeasible"] = stats.get("alpha_infeasible", 0) + int(
-            np.sum(np.isposinf(scores))
+        stats["alpha_evals"] = stats.get("alpha_evals", 0) + len(searched)
+        stats["alpha_infeasible"] = stats.get("alpha_infeasible", 0) + sum(
+            bool(score == np.inf) for _, score in searched
         )
+        stats["alpha_search"] = searched
     if not np.isfinite(min(fc, fd)):
         raise EstimationError("alpha likelihood was infeasible over the whole range")
     return float(0.5 * (a + b))

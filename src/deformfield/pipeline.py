@@ -113,6 +113,7 @@ def stage_simulate(cfg: PipelineConfig, out_dir: str) -> Grid:
                 "factors": stats["factors"],
                 "tiles_jittered": stats.get("jittered", 0),
                 "kernel_entries": stats["kernel_entries"],
+                "schur_redrawn": stats.get("schur_redrawn", 0),
             },
         },
     )
@@ -139,6 +140,11 @@ def stage_estimate(cfg: PipelineConfig, out_dir: str, force: bool = False) -> Di
         {
             "alpha": est.alpha_used,
             "geometry": est.geometry,
+            # the golden-section candidates in the order scored; null is +inf
+            "alpha_search": {
+                "alpha": [float(alpha) for alpha, _ in stats["alpha_search"]],
+                "nll": [float(v) if np.isfinite(v) else None for _, v in stats["alpha_search"]],
+            },
             # deterministic counts only: reruns must stay byte-identical
             "counts": {
                 "blocks_ok": int(ok.sum()),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from deformfield.cli import main
-from deformfield.config import PipelineConfig, read_config, write_config
+from deformfield.config import MAX_FLOW_LATTICE, PipelineConfig, read_config, write_config
 from deformfield.grids import ComplexGrid, Grid, read_grd, write_grd
 
 
@@ -294,6 +294,20 @@ def test_oversized_lag_table_exits_two(tmp_path, capsys):
         path, grid_nx=400, grid_ny=400, spacing_x=0.0025, spacing_y=0.0025, block=20
     )
     read_config(str(path))  # 0.22 GiB: parse_config validates
+
+
+def test_oversized_flow_lattice_exits_two(tmp_path, capsys):
+    # the reconstruct stage's memory grows with the flow lattice's sites:
+    # one side above the cap is refused before any stage runs
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    _mini_cfg_file(path, out_dir=str(out), flow_lattice=MAX_FLOW_LATTICE + 1)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: flow_lattice must be between 3 and 1024, got {MAX_FLOW_LATTICE + 1}\n"
+    assert not os.path.exists(out)
+    _mini_cfg_file(path, flow_lattice=MAX_FLOW_LATTICE)
+    read_config(str(path))
 
 
 def test_plain_run_pins_blas_threads_itself(tmp_path):

@@ -11,6 +11,7 @@ from scipy.linalg.lapack import dpotrf
 from deformfield import fields
 from deformfield.errors import OrientationError, SimulationError
 from deformfield.fields import (
+    JITTER_LADDER,
     MAX_EXACT_SIM,
     MIN_STRIP,
     POWERED_EXPONENTIAL,
@@ -381,6 +382,38 @@ def test_cholesky_factor_contract():
         _check_schur_factor(model, sites, 40)
 
 
+def test_smooth_kernels_fall_back_to_the_dense_factor():
+    # bent lattices at spacing 1/399 and 1/99 under Matern nu = 2.5 and 3.7
+    # (range 0.2): the explicit Schur rotations were off by 3e-10 to 2.6e-6
+    # of max|T|.  The accuracy indicator sends each group to the dense
+    # factor, at the rung dpotrf takes: the 900-site tiles give L itself
+    # (z = I) within the contract's 1e-12 of T, the 2500-site ones the dense
+    # factor's draw bit for bit
+    z = np.random.default_rng(4).standard_normal((1, 2500))
+    for side, spacing in ((30, 1 / 399), (50, 1 / 399), (50, 1 / 99)):
+        ax = np.arange(side) * spacing
+        sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
+        n = sites.size
+        assert _strip(_tile_period(sites), n) < n
+        for nu in (2.5, 3.7):
+            m = CovarianceModel.matern(1.0, 0.2, nu)
+            stats = {}
+            draws, rung = _draw_tile(m, sites, np.eye(n) if n == 900 else z, stats)
+            assert stats["schur_redrawn"] == 1
+            v = m.variance
+            upper = _covariance_upper(m, sites, v + JITTER_LADDER[rung] * v)
+            assert dpotrf(upper.T, lower=1)[1] == 0
+            if rung:  # dpotrf fails a rung earlier as well
+                lower = _covariance_upper(m, sites, v + JITTER_LADDER[rung - 1] * v)
+                assert dpotrf(lower.T, lower=1)[1] != 0
+            if n == 900:
+                cov = upper + np.triu(upper, 1).T
+                factor = draws.T
+                assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+            else:
+                assert np.array_equal(draws[0], dpotrf(upper.T, lower=1)[0] @ z[0])
+
+
 def test_evenly_spaced_line_draws_in_merged_strips():
     # a line repeats site by site (period 1); its draw takes strips of 40, the
     # smallest multiple of the period that divides 240 and holds MIN_STRIP
@@ -588,13 +621,15 @@ def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
     twice = np.append(pts, pts[3])
     line = np.linspace(0, 1, 80) + 0.5j
     copied = np.tile(line[:40], 2)  # two strips of 40, the second a copy of the first
-    for sites, rows, diagonals in (
-        (pts, None, [1.0]),
-        (twice, None, [1.0, 1.0 + 1e-12]),  # rung 0, then rung 1 for the repeated site
-        (line, 40, [1.0]),
-        (copied, 40, [1.0, 1.0 + 1e-12]),
+    for sites, want in (
+        (pts, [(1.0, None)]),
+        (twice, [(1.0, None), (1.0 + 1e-12, None)]),  # rung 0, then rung 1 for the repeated site
+        (line, [(1.0, 40)]),
+        # rung 1 passes, but the copied strip drives the pass's accuracy
+        # indicator far above SCHUR_INDICATOR_MAX, so the tile is drawn
+        # again as one strip, from rung 0
+        (copied, [(1.0, 40), (1.0 + 1e-12, 40), (1.0, None), (1.0 + 1e-12, None)]),
     ):
-        want = [(d, rows) for d in diagonals]
         builds.clear()
         simulate_isotropic(m, sites, 0)
         assert builds == want

@@ -1,5 +1,7 @@
 """Poisson solver and flow-based map reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,12 @@ from deformfield.errors import FlowError, OrientationError
 from deformfield.fields import numeric_dilatation
 from deformfield.flow import (
     FlowState,
-    _scatter_to_box,
     flow_step,
     poisson_solve_dirichlet,
     reconstruct_map,
     sigma_field,
 )
-from deformfield.grids import ComplexGrid
+from deformfield.grids import ComplexGrid, grid_sample
 
 
 def _const_mu(n, value, spacing=None):
@@ -162,40 +163,52 @@ def test_sigma_field_reproduces_linear_source_on_bent_lattice():
     assert np.all(sig.values[concave] == 0.0)
 
 
-def _scatter_full_window(corners, values, area2, box, n, reverse=False):
+def _scatter_full_window(weights, window, values, n, reverse=False):
     # reference: every triangle tested against the same window of box nodes,
-    # as wide as the widest triangle; reverse flips the write order in a pass
-    x0, x1, y0, _ = box
-    h = (x1 - x0) / (n - 1)
-    origin = complex(x0, y0)
-    e1, e2 = corners[1] - corners[0], corners[2] - corners[0]
-    dv1, dv2 = values[1] - values[0], values[2] - values[0]
-    rel = (corners - origin) / h
-    i0 = np.ceil(rel.real.min(axis=0) - 1e-9).astype(np.int64)
-    j0 = np.ceil(rel.imag.min(axis=0) - 1e-9).astype(np.int64)
-    reach = int(np.ceil(max(np.ptp(rel.real, axis=0).max(), np.ptp(rel.imag, axis=0).max())))
+    # as wide as the widest triangle, with the scatter's affine weights;
+    # reverse flips the write order in a pass
+    reach = int(window[:, 1:].max())
+    kinds = list(zip(weights, window, values))
     grid = np.zeros((n, n), dtype=np.complex128)
     for di in range(reach + 1):
         for dj in range(reach + 1):
-            i, j = np.minimum(i0 + di, n - 1), np.minimum(j0 + dj, n - 1)
-            p = origin + h * (i + 1j * j) - corners[0]
-            lb = np.imag(np.conj(p) * e2) / area2
-            lc = np.imag(np.conj(e1) * p) / area2
-            hit = (lb >= -1e-12) & (lc >= -1e-12) & (lb + lc <= 1.0 + 1e-12)
-            # gathered index arrays: numpy may write through a reversed view
-            # in memory order, which would undo the reversal
-            k = np.flatnonzero(hit)[::-1] if reverse else np.flatnonzero(hit)
-            grid[i[k], j[k]] = (values[0] + lb * dv1 + lc * dv2)[k]
+            for (b0, bi, bj, c0, ci, cj), (node, _, _), (a, b, c) in (
+                kinds[::-1] if reverse else kinds
+            ):
+                i, j = node // n + di, node % n + dj
+                lb = b0 + di * bi + dj * bj
+                lc = c0 + di * ci + dj * cj
+                hit = (lb >= -1e-12) & (lc >= -1e-12) & (lb + lc <= 1.0 + 1e-12)
+                hit &= (i < n) & (j < n)
+                # gathered index arrays: numpy may write through a reversed view
+                # in memory order, which would undo the reversal
+                k = np.flatnonzero(hit)[::-1] if reverse else np.flatnonzero(hit)
+                grid[i[k], j[k]] = (a + lb * (b - a) + lc * (c - a))[k]
+    return grid
+
+
+def _scatter_to_box(weights, window, values, n):
+    grid = np.zeros((n, n), dtype=np.complex128)
+    flow._scatter(weights, window, values, grid)
     return grid
 
 
 def _scatter_inputs(mu, state, monkeypatch):
-    # the (corners, values, area2, box, n) that sigma_field hands to the scatter
+    # the (weights, window, values, n) that sigma_field hands to the scatter
     seen = []
-    monkeypatch.setattr(flow, "_scatter_to_box", lambda *args: seen.append(args) or None)
+    monkeypatch.setattr(flow, "_scatter", lambda *args: seen.append(args))
     sigma_field(mu, state)
     monkeypatch.undo()
-    return seen[0]
+    weights, window, values, grid = seen[0]
+    return weights.copy(), window.copy(), np.array(values), grid.shape[0]
+
+
+def _lattice_geometry(points, box, n):
+    # the weights and windows of both triangles of every cell, for any box
+    cells = (points.shape[0] - 1) * (points.shape[1] - 1)
+    weights, window = np.empty((2, 6, cells)), np.empty((2, 3, cells), dtype=np.int64)
+    assert flow._cell_geometry(points, box, n, weights, window) == 0
+    return weights, window
 
 
 def test_scatter_matches_full_window_on_bent_lattice(monkeypatch):
@@ -207,48 +220,55 @@ def test_scatter_matches_full_window_on_bent_lattice(monkeypatch):
     for _ in range(3):
         state = flow_step(state, 0.25, mu)
     args = _scatter_inputs(mu, state, monkeypatch)
-    assert np.array_equal(_scatter_to_box(*args).values, _scatter_full_window(*args))
+    assert np.array_equal(_scatter_to_box(*args), _scatter_full_window(*args))
 
 
-def test_scatter_keeps_write_order_on_shared_edges(monkeypatch):
+def _shared_edge_inputs(seed):
     # sites k/8 on box nodes 2k + 4 (spacing 1/16): every cell's diagonal,
     # edges and corners pass through nodes that two or more triangles hit.
-    # Each triangle carries its own random values, so whichever writes last
-    # decides the node.
+    # Each triangle carries its own random vertex values, so whichever
+    # writes last decides the node.
     mu = _const_mu(9, 0.0)
-    corners, values, area2, _, _ = _scatter_inputs(mu, FlowState.identity(mu), monkeypatch)
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-    args = (corners, values, area2, (-0.25, 1.25, -0.25, 1.25), 25)
-    got = _scatter_to_box(*args).values
+    points = FlowState.identity(mu).points.reshape(9, 9)
+    weights, window = _lattice_geometry(points, (-0.25, 1.25, -0.25, 1.25), 25)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2, 3, 64)) + 1j * rng.standard_normal((2, 3, 64))
+    return weights, window, values, 25
+
+
+def test_scatter_keeps_write_order_on_shared_edges():
+    args = _shared_edge_inputs(7)
+    got = _scatter_to_box(*args)
     assert np.array_equal(got, _scatter_full_window(*args))
     assert not np.array_equal(got, _scatter_full_window(*args, reverse=True))
 
 
 def test_scatter_batches_keep_the_write_order(monkeypatch):
-    # batches of 5 of the 128 triangles split every pass, and shared edges
-    # between batches: the last write still decides each node
-    mu = _const_mu(9, 0.0)
-    corners, values, area2, _, _ = _scatter_inputs(mu, FlowState.identity(mu), monkeypatch)
-    rng = np.random.default_rng(8)
-    values = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-    args = (corners, values, area2, (-0.25, 1.25, -0.25, 1.25), 25)
-    whole = _scatter_to_box(*args).values
+    # batches of 5 of each kind's 64 triangles split every pass, and shared
+    # edges between batches: the last write still decides each node.  The
+    # geometry then goes through in chunks of one row of cells.
+    args = _shared_edge_inputs(8)
+    whole = _scatter_to_box(*args)
     monkeypatch.setattr(flow, "_SCATTER_BATCH", 5)
-    assert np.array_equal(_scatter_to_box(*args).values, whole)
+    weights, window, values, n = args
+    points = FlowState.identity(_const_mu(9, 0.0)).points.reshape(9, 9)
+    batched = _lattice_geometry(points, (-0.25, 1.25, -0.25, 1.25), 25)
+    assert np.array_equal(batched[0], weights) and np.array_equal(batched[1], window)
+    assert np.array_equal(_scatter_to_box(*args), whole)
     assert np.array_equal(whole, _scatter_full_window(*args))
 
 
 def test_scatter_tests_a_sliver_across_its_whole_bounding_box():
     # one sliver from node (1, 1) to node (4, 4): it hits the four diagonal
     # nodes, at offsets 0 and reach = 3 from its box corner included
-    box, n = (0.0, 1.0, 0.0, 1.0), 9
-    h = 1.0 / 8
-    corners = h * np.array([[1 + 1j], [4 + 4j], [1 + 1.3j]])
-    area2 = np.imag(np.conj(corners[1] - corners[0]) * (corners[2] - corners[0]))
-    values = np.array([[0.5 + 0.1j], [-0.2 + 0.3j], [0.7 - 0.4j]])
-    got = _scatter_to_box(corners, values, area2, box, n).values
-    assert np.array_equal(got, _scatter_full_window(corners, values, area2, box, n))
+    n = 9
+    weights, window = np.empty((1, 6, 1)), np.empty((1, 3, 1), dtype=np.int64)
+    vertices = [(np.array([x]), np.array([y])) for x, y in ((1.0, 1.0), (4.0, 4.0), (1.0, 1.3))]
+    assert flow._triangle_geometry(*vertices, weights[0], window[0], n) == 0
+    assert window[0, :, 0].tolist() == [1 * n + 1, 3, 3]
+    values = np.array([[[0.5 + 0.1j], [-0.2 + 0.3j], [0.7 - 0.4j]]])
+    got = _scatter_to_box(weights, window, values, n)
+    assert np.array_equal(got, _scatter_full_window(weights, window, values, n))
     assert [(k, k) for k in range(1, 5)] == [tuple(ij) for ij in np.argwhere(got != 0)]
 
 
@@ -287,6 +307,83 @@ def test_flow_step_validation():
     state.t = 0.95
     with pytest.raises(ValueError):
         flow_step(state, 0.1, mu)
+
+
+def test_step_sampler_equals_grid_sample_of_each_grid():
+    # one set of corner indices and weights serves w and wz; points outside
+    # the lattice box are extrapolated as grid_sample does
+    rng = np.random.default_rng(11)
+    grid = ComplexGrid(13, 17, (-0.3, 0.2), (0.07, 0.05), np.zeros((13, 17)))
+    points = (rng.uniform(-0.4, 0.6, 500) + 1j * rng.uniform(0.1, 1.1, 500))
+    points[:4] = grid.locations()[[0, 16, 204, 220]]  # lattice corners
+    weights = flow._sample_weights(grid, points)
+    out, scratch = np.empty((2, points.size), dtype=np.complex128)
+    for _ in range(2):
+        values = rng.standard_normal((13, 17)) + 1j * rng.standard_normal((13, 17))
+        got = flow._sample(values, weights, out, scratch)
+        assert np.array_equal(got, grid_sample(grid.with_values(values), points))
+
+
+def test_differences_equal_np_gradient():
+    # d/dx - i d/dy written into given arrays, edges included, against
+    # np.gradient's first-order edges, bit for bit
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    out, scratch = np.empty((2, 9, 9), dtype=np.complex128)
+    flow._twice_dz(f, 0.3, out, scratch)
+    want = np.gradient(f, 0.3, axis=0, edge_order=1) - 1j * np.gradient(f, 0.3, axis=1, edge_order=1)
+    assert np.array_equal(out, want)
+
+
+def test_flow_step_matches_the_whole_array_formula():
+    # the in-place solve, the differences written into reused box arrays and
+    # the shared sampler give the bits of the step written with whole arrays
+    n = 17
+    s = np.linspace(0.0, 1.0, n)
+    vals = 0.4 * s[:, None] * np.exp(2j * s[None, :])
+    mu = ComplexGrid(n, n, (0.0, 0.0), (1.0 / 16, 1.0 / 16), vals)
+    state = flow_step(FlowState.identity(mu), 0.25, mu)
+    for _ in range(2):
+        sig = sigma_field(mu, state)
+        sig = sig.with_values(sig.values.copy())
+        h = sig.spacing[0]
+        q = poisson_solve_dirichlet(2.0 * sig.values, h)
+        w = np.gradient(q, h, axis=0, edge_order=1) - 1j * np.gradient(q, h, axis=1, edge_order=1)
+        wz = 0.5 * (
+            np.gradient(w, h, axis=0, edge_order=1) - 1j * np.gradient(w, h, axis=1, edge_order=1)
+        )
+        points = state.points + 0.25 * grid_sample(sig.with_values(w), state.points)
+        dz_f = state.dz_f * (1.0 + 0.25 * grid_sample(sig.with_values(wz), state.points))
+        state = flow_step(state, 0.25, mu)
+        assert np.array_equal(state.points, points)
+        assert np.array_equal(state.dz_f, dz_f)
+
+
+def test_reconstruct_allocates_the_box_arrays_once(monkeypatch):
+    made = []
+    real = flow._FlowArrays
+    monkeypatch.setattr(flow, "_FlowArrays", lambda *shape: made.append(shape) or real(*shape))
+    reconstruct_map(_const_mu(17, 0.2 + 0.1j, spacing=1.0 / 16), steps=5)
+    assert made == [(17, 17, 65)]
+
+
+def test_reconstruct_holds_no_per_step_whole_lattice_temporaries():
+    # a 96 x 96 lattice on a 193 x 193 box: the reused arrays take about
+    # 4.2 MB (three box arrays, the Poisson eigenvalues, two triangles'
+    # weights and windows, the corner values and two site arrays); the
+    # per-step temporaries of whole-lattice gathers peaked near 6.0 MB
+    n = 96
+    s = np.linspace(0.0, 1.0, n)
+    vals = 0.3 * s[:, None] * np.exp(6j * s[None, :])
+    mu = ComplexGrid(n, n, (0.0, 0.0), (1.0 / (n - 1),) * 2, vals)
+    reconstruct_map(mu, steps=1)  # warm up
+    tracemalloc.start()
+    try:
+        reconstruct_map(mu, steps=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6, peak
 
 
 def test_reconstruct_zero_mu_is_identity():

@@ -221,7 +221,9 @@ def test_pipeline_reruns_are_deterministic(tmp_path):
         # 30 x 30 sites in tiles of side 20 merge into one tile: one factor,
         # whose lattice columns repeat, so the kernel fills one 30 x 900 block row
         counts = json.load(fh)["counts"]
-    assert counts == {"factors": 1, "tiles_jittered": 0, "kernel_entries": 30 * 900}
+    assert counts == {
+        "factors": 1, "tiles_jittered": 0, "kernel_entries": 30 * 900, "schur_redrawn": 0
+    }
 
 
 def _estimate_counts(cfg, out):
@@ -251,6 +253,33 @@ def test_estimate_meta_counts_repeat(tmp_path):
     assert 0 <= counts["fits_at_maxiter"] <= 9
     assert counts["alpha_evals"] >= 2
     assert counts["alpha_infeasible"] == 0
+
+
+def test_estimate_meta_records_the_alpha_search(tmp_path, monkeypatch):
+    # every golden-section candidate and its summed negative log likelihood,
+    # in the order scored; an infeasible score is null, not Infinity, and
+    # alpha-hat is the midpoint of the last bracket as before
+    cfg = _mini_config(grid_nx=30, grid_ny=30)
+    out = str(tmp_path / "run")
+    stage_simulate(cfg, out)
+    scored = []
+    nll = likelihood._alpha_nll
+
+    def planted(alpha, *rest):
+        scored.append((alpha, np.inf if alpha < 1.0 else nll(alpha, *rest)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(likelihood, "_alpha_nll", planted)
+    stage_estimate(cfg, out)
+    with open(os.path.join(out, "estimates_meta.json")) as fh:
+        text = fh.read()
+    meta = json.loads(text)
+    search = meta["alpha_search"]
+    assert search["alpha"] == [alpha for alpha, _ in scored]
+    assert search["nll"] == [None if v == np.inf else v for _, v in scored]
+    assert None in search["nll"] and "Infinity" not in text
+    assert len(scored) == meta["counts"]["alpha_evals"]
+    assert meta["counts"]["alpha_infeasible"] == search["nll"].count(None)
 
 
 def test_stage_estimate_builds_one_lag_table(tmp_path, monkeypatch):
