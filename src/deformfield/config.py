@@ -28,8 +28,8 @@ from .grids import ComplexGrid, Grid, atomic_write_text, read_grd
 from .likelihood import ALPHA_FLOOR, NeighborhoodPartition, check_lag_table, partition_grid
 
 #: Largest flow lattice side.  The reconstruct stage's tracemalloc peak grows
-#: with the lattice's sites, about 750 bytes each (6.7 MiB at 96, 27.0 MiB at
-#: 192, 107.8 MiB at 384), so a side of 1024 stays near 0.75 GiB, under 1 GiB.
+#: with the lattice's sites, about 400 bytes each for 36 or 1600 blocks (5.4,
+#: 17.0, 57.5 and 99.6 MiB at 96, 192, 384 and 512), so 1024 needs about 0.4 GiB.
 MAX_FLOW_LATTICE = 1024
 
 _DEFORM_KINDS = ("identity", "rotational", "affine", "grid_map")

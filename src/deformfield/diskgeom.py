@@ -66,6 +66,11 @@ def mu_to_ellipse(mu: complex) -> EllipseParams:
 
 
 KARCHER_MAX_ITER = 100
+#: Points per chunk of interpolate_dilatation's corner means, and most
+#: (point, block) pairs per chunk of its nearest-block search, so that its
+#: temporaries stay near a few MiB however many points it is given.
+INTERP_CHUNK = 2048
+NEAREST_PAIRS = 1 << 16
 _TOL = 1e-12  # Newton step length, in units of the metric, that counts as converged
 _EPS = np.finfo(np.float64).eps
 
@@ -238,43 +243,47 @@ def interpolate_dilatation(
 
     The four block centers around each location contribute with bilinear
     weights, skipping unavailable corners, in one frechet_mean call (with
-    stats).  A location outside the center lattice, or with no available
-    corner, takes the value of the nearest available block; a given stats
-    dict counts these (points_extrapolated).  Scalar or array locations
-    give values alike.
+    stats) per chunk of INTERP_CHUNK points.  A location outside the
+    center lattice, or with no available corner, takes the value of the
+    nearest available block, searched NEAREST_PAIRS (point, block) pairs
+    at a time; a given stats dict counts these (points_extrapolated).
+    Scalar or array locations give values alike.
     """
     loc = np.asarray(locations, dtype=np.complex128)
     flat = loc.ravel()
     geo = field.geometry
     nbx, nby = geo["nbx"], geo["nby"]
-    fx = (flat.real - field.centers[0].real) / (geo["block"] * geo["spacing"][0])
-    fy = (flat.imag - field.centers[0].imag) / (geo["block"] * geo["spacing"][1])
-    inside = np.flatnonzero((fx >= 0) & (fx <= nbx - 1) & (fy >= 0) & (fy <= nby - 1))
     ok = field.ok_mask()
-    # corners (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1), clipped on a
-    # one-block-wide lattice, where their weight is 0
-    i0 = np.clip(np.floor(fx[inside]), 0, max(nbx - 2, 0)).astype(np.intp)[:, None]
-    j0 = np.clip(np.floor(fy[inside]), 0, max(nby - 2, 0)).astype(np.intp)[:, None]
-    di, dj = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-    corner = np.minimum(i0 + di, nbx - 1) * nby + np.minimum(j0 + dj, nby - 1)
-    tx, ty = fx[inside, None] - i0, fy[inside, None] - j0
-    wgt = np.where(di, tx, 1 - tx) * np.where(dj, ty, 1 - ty)
-    use = (wgt > 1e-12) & ok[corner]
-    has = use.any(axis=1)
-
-    values = np.empty(flat.size, dtype=np.complex128)
-    values[inside[has]] = frechet_mean(
-        np.where(use, field.mu[corner], 0.0)[has], np.where(use, wgt, 0.0)[has], stats=stats
-    )
-    nearest = np.ones(flat.size, dtype=bool)
-    nearest[inside[has]] = False
-    pick = np.flatnonzero(nearest)
     avail = np.flatnonzero(ok)
-    if pick.size and not avail.size:
-        raise ValueError("no available block values to interpolate from")
-    if pick.size:
-        dist = np.abs(flat[pick, None] - field.centers[avail])
-        values[pick] = field.mu[avail[np.argmin(dist, axis=1)]]
-    if stats is not None:
-        stats["points_extrapolated"] = stats.get("points_extrapolated", 0) + int(pick.size)
+    rows = max(1, NEAREST_PAIRS // max(avail.size, 1))
+    di, dj = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    values = np.empty(flat.size, dtype=np.complex128)
+    for start in range(0, flat.size, INTERP_CHUNK):
+        pts, out = flat[start : start + INTERP_CHUNK], values[start : start + INTERP_CHUNK]
+        fx = (pts.real - field.centers[0].real) / (geo["block"] * geo["spacing"][0])
+        fy = (pts.imag - field.centers[0].imag) / (geo["block"] * geo["spacing"][1])
+        inside = np.flatnonzero((fx >= 0) & (fx <= nbx - 1) & (fy >= 0) & (fy <= nby - 1))
+        # corners (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1), clipped on a
+        # one-block-wide lattice, where their weight is 0
+        i0 = np.clip(np.floor(fx[inside]), 0, max(nbx - 2, 0)).astype(np.intp)[:, None]
+        j0 = np.clip(np.floor(fy[inside]), 0, max(nby - 2, 0)).astype(np.intp)[:, None]
+        corner = np.minimum(i0 + di, nbx - 1) * nby + np.minimum(j0 + dj, nby - 1)
+        tx, ty = fx[inside, None] - i0, fy[inside, None] - j0
+        wgt = np.where(di, tx, 1 - tx) * np.where(dj, ty, 1 - ty)
+        use = (wgt > 1e-12) & ok[corner]
+        has = use.any(axis=1)
+        out[inside[has]] = frechet_mean(
+            np.where(use, field.mu[corner], 0.0)[has], np.where(use, wgt, 0.0)[has], stats=stats
+        )
+        nearest = np.ones(pts.size, dtype=bool)
+        nearest[inside[has]] = False
+        pick = np.flatnonzero(nearest)
+        if pick.size and not avail.size:
+            raise ValueError("no available block values to interpolate from")
+        for first in range(0, pick.size, rows):
+            near = pick[first : first + rows]
+            dist = np.abs(pts[near, None] - field.centers[avail])
+            out[near] = field.mu[avail[np.argmin(dist, axis=1)]]
+        if stats is not None:
+            stats["points_extrapolated"] = stats.get("points_extrapolated", 0) + int(pick.size)
     return complex(values[0]) if loc.ndim == 0 else values.reshape(loc.shape)

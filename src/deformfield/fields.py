@@ -68,7 +68,7 @@ MIN_STRIP = 32
 #: Largest accuracy indicator of a block Schur pass, eps times the product
 #: over its steps of ||C^-1||_1 (C = chol(I - K K'), whose inverse each
 #: step solves for anyway).  Above it the rotations may have lost accuracy,
-#: and the group is drawn again by the dense factor.  The tiles of the
+#: and the group is drawn again as one strip.  The tiles of the
 #: benchmark workloads and of the 400 x 400 config stay below 7e-14.
 SCHUR_INDICATOR_MAX = 1e-12
 
@@ -356,7 +356,7 @@ def _covariance_upper(
 def _strip(period: int, n: int) -> int:
     """Sites per strip of a tile's block Schur draw: the smallest multiple
     of its period that divides n and holds at least MIN_STRIP sites, or n
-    (one strip, drawn densely) when no such multiple is smaller."""
+    (one strip, the dense draw) when no such multiple is smaller."""
     return next((s for s in range(period, n, period) if s >= MIN_STRIP and n % s == 0), n)
 
 
@@ -368,7 +368,8 @@ def _schur_draw(row: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, float
     ``row`` is [A_0 ... A_{m-1}] on strips of s sites, with A_0's upper
     triangle only.  It is overwritten by X and dropped once the generator
     holds X, so with the caller keeping no reference to it the working set
-    peaks near 4 s n doubles and the draws.  The generalized Schur algorithm
+    peaks near 4 s n doubles and the draws; one strip (s = n) takes no
+    steps, and its draws are z L0', the dense factor's.  The generalized Schur algorithm
     (Kailath & Sayed, SIAM Review 37, 1995; Golub & Van Loan 4.7) starts
     from A_0 = L0 L0' and the generator X = L0^-1 [A_0 ... A_{m-1}],
     Y = L0^-1 [0 A_1 ... A_{m-1}], for which T - Z T Z' = X'X - Y'Y with Z
@@ -391,17 +392,19 @@ def _schur_draw(row: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, float
     it does not bound.
     """
     s, n = row.shape
-    factor, info = dpotrf(row[:, :s].T, lower=1, clean=1)
+    # in place where A_0 is contiguous, so one strip's factor is the row itself
+    factor, info = dpotrf(row[:, :s].T, lower=1, clean=1, overwrite_a=1)
     if info:
         return None
-    x = dtrsm(1.0, factor, row.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
-    del row  # solved in place: x is the row
-    a = x[:, :s] = factor.T
-    draws = normals[:, :s] @ x
+    a = row[:, :s] = factor.T  # numpy copies nothing where the factor is the row
+    row[:, s:] = dtrsm(1.0, factor, row[:, s:].T, side=1, lower=1, trans_a=1).T
+    draws = normals[:, :s] @ row  # the row is X now
+    if s == n:
+        return draws, np.finfo(float).eps
     cur = np.empty((2 * s, n))
-    cur[:s, s:] = x[:, : n - s]
-    cur[s:, s:] = x[:, s:]
-    del x  # before the second buffer is allocated
+    cur[:s, s:] = row[:, : n - s]
+    cur[s:, s:] = row[:, s:]
+    del row  # before the second buffer is allocated
     nxt = np.empty((2 * s, n))
     eye = np.eye(s)
     growth = 1.0  # prod ||C^-1||_1 over the pass
@@ -440,12 +443,10 @@ def _draw_tile(
     """L z for each row z of normals, L the lower Cholesky factor of a
     tile's covariance, and the JITTER_LADDER rung it took.
 
-    Each rung builds the covariance afresh, with jitter times the variance
-    added to its diagonal.  A tile of m = n / s > 1 strips of _strip's s
-    sites builds its first block row alone (s x n) and draws by
-    _schur_draw.  A tile of one strip builds its dense matrix, factors it
-    in place by one LAPACK dpotrf and multiplies the factor by each z in
-    turn.  A Schur draw whose indicator exceeds SCHUR_INDICATOR_MAX is
+    Each rung builds the first block row of the covariance afresh (s x n
+    for _strip's s sites; the whole matrix for a tile of one strip), with
+    jitter times the variance added to its diagonal, and draws by
+    _schur_draw.  A draw whose indicator exceeds SCHUR_INDICATOR_MAX is
     drawn again as one strip (strip = n), from the first rung.  A failed
     rung's matrix is dropped, not restored.  When every rung fails, the
     dense unjittered matrix is built once more for the spectrum that the
@@ -457,24 +458,18 @@ def _draw_tile(
     strip = _strip(_tile_period(locations), n) if strip is None else strip
     v = model.variance
     for rung, jitter in enumerate(JITTER_LADDER):
-        if strip < n:
-            # the row is passed on, not kept, so the draw can drop it early
-            drawn = _schur_draw(
-                _covariance_upper(model, locations, v + jitter * v, stats, rows=strip), normals
-            )
-            if drawn is None:
-                continue
-            if drawn[1] <= SCHUR_INDICATOR_MAX:
-                return drawn[0], rung
-            del drawn  # before the dense matrix is built
-            if stats is not None:
-                stats["schur_redrawn"] = stats.get("schur_redrawn", 0) + 1
-            return _draw_tile(model, locations, normals, stats, strip=n)
-        cov = _covariance_upper(model, locations, v + jitter * v, stats)
-        factor, info = dpotrf(cov.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            return np.array([factor @ z for z in normals]), rung
-        del cov, factor  # before the next rung's matrix is built
+        # the row is passed on, not kept, so the draw can drop it early
+        drawn = _schur_draw(
+            _covariance_upper(model, locations, v + jitter * v, stats, rows=strip), normals
+        )
+        if drawn is None:
+            continue
+        if drawn[1] <= SCHUR_INDICATOR_MAX:
+            return drawn[0], rung
+        del drawn  # before the one strip's matrix is built
+        if stats is not None:
+            stats["schur_redrawn"] = stats.get("schur_redrawn", 0) + 1
+        return _draw_tile(model, locations, normals, stats, strip=n)
     eigs = np.linalg.eigvalsh(_covariance_upper(model, locations, v), UPLO="U")
     raise SimulationError(
         f"covariance factorization failed for a {n}x{n} matrix "
@@ -500,7 +495,7 @@ def simulate_isotropic(
     may exceed MAX_EXACT_SIM locations.  A tile whose strips repeat under
     one rigid motion (see _tile_period) is drawn from its first block row
     by the block Schur algorithm in O(s n) memory for strips of s sites;
-    any other tile by a dense factor.  Congruent tiles (see
+    any other tile as one strip, by its dense factor.  Congruent tiles (see
     congruent_tiles) are drawn together from their group's first tile, as
     their site distances agree within 2 * CONGRUENCE_TOL of the tile's
     reach; groups are drawn one after another, so one group's working set
@@ -511,7 +506,7 @@ def simulate_isotropic(
     dict gets the number of factors, one per group (factors), of tiles
     whose factor needed jitter (jittered), of kernel values evaluated
     to build the factors (kernel_entries) and of groups whose block Schur
-    draw was done again by the dense factor (schur_redrawn).
+    draw was done again as one strip (schur_redrawn).
     """
     locations = np.asarray(locations, dtype=np.complex128).ravel()
     n = locations.size

@@ -20,7 +20,7 @@ from scipy.fft import dstn, idstn
 
 from .errors import FlowError, OrientationError
 from .fields import numeric_dilatation
-from .grids import ComplexGrid, Grid
+from .grids import ComplexGrid, Grid, bilinear_sample, bilinear_weights
 
 log = logging.getLogger(__name__)
 
@@ -317,31 +317,6 @@ def _twice_dz(f: np.ndarray, h: float, out: np.ndarray, scratch: np.ndarray) -> 
     out -= scratch
 
 
-def _sample_weights(grid: Grid, points: np.ndarray):
-    """grid_sample's bilinear weights of points: flat corner index, tx, ty, 1 - tx, 1 - ty."""
-    fx = (points.real - grid.origin[0]) / grid.spacing[0]
-    fy = (points.imag - grid.origin[1]) / grid.spacing[1]
-    i0 = np.clip(np.floor(fx).astype(np.int64), 0, grid.nx - 2)
-    j0 = np.clip(np.floor(fy).astype(np.int64), 0, grid.ny - 2)
-    tx, ty = fx - i0, fy - j0
-    return i0 * grid.ny + j0, tx, ty, 1 - tx, 1 - ty
-
-
-def _sample(values: np.ndarray, weights, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """grid_sample of values at the points of weights, bit for bit, written into out."""
-    k, tx, ty, sx, sy = weights
-    flat, ny = values.reshape(-1), values.shape[1]
-    np.take(flat, k, out=out)
-    out *= sx
-    out *= sy
-    for offset, u, v in ((ny, tx, sy), (1, sx, ty), (ny + 1, tx, ty)):
-        np.take(flat, k + offset, out=scratch)
-        scratch *= u
-        scratch *= v
-        out += scratch
-    return out
-
-
 def flow_step(state: FlowState, eps: float, mu_star: ComplexGrid) -> FlowState:
     """One Euler step of the reconstruction flow.
 
@@ -363,11 +338,11 @@ def flow_step(state: FlowState, eps: float, mu_star: ComplexGrid) -> FlowState:
     _twice_dz(q, h, arrays.w, arrays.wz)
     _twice_dz(arrays.w, h, arrays.wz, q)
     arrays.wz *= 0.5
-    weights = _sample_weights(sig, state.points)
-    move = _sample(arrays.w, weights, arrays.site, arrays.scratch)
+    weights = bilinear_weights(sig, state.points)
+    move = bilinear_sample(arrays.w, weights, arrays.site, arrays.scratch)
     move *= eps
     new_points = state.points + move
-    growth = _sample(arrays.wz, weights, arrays.site, arrays.scratch)
+    growth = bilinear_sample(arrays.wz, weights, arrays.site, arrays.scratch)
     growth *= eps
     growth += 1.0
     new_dzf = state.dz_f * growth

@@ -95,25 +95,40 @@ def grid_sample(grid: Grid, points: np.ndarray) -> np.ndarray:
 
     Points epsilon outside the lattice box are linearly extrapolated;
     this keeps evaluation stable for maps probed right at the boundary.
+    A point with corner (i0, j0) and offsets (tx, ty) takes, products left
+    to right and summed in this order,
+    v00 (1 - tx)(1 - ty) + v10 tx (1 - ty) + v01 (1 - tx) ty + v11 tx ty.
     """
     pts = np.asarray(points, dtype=np.complex128)
-    fx = (pts.real - grid.origin[0]) / grid.spacing[0]
-    fy = (pts.imag - grid.origin[1]) / grid.spacing[1]
+    out, scratch = np.empty((2, pts.size), dtype=grid.values.dtype)
+    weights = bilinear_weights(grid, pts.ravel())
+    return bilinear_sample(grid.values, weights, out, scratch).reshape(pts.shape)
+
+
+def bilinear_weights(grid: Grid, points: np.ndarray):
+    """grid_sample's weights of complex points: flat corner index, tx, ty, 1 - tx, 1 - ty."""
+    fx = (points.real - grid.origin[0]) / grid.spacing[0]
+    fy = (points.imag - grid.origin[1]) / grid.spacing[1]
     i0 = np.clip(np.floor(fx).astype(np.int64), 0, grid.nx - 2)
     j0 = np.clip(np.floor(fy).astype(np.int64), 0, grid.ny - 2)
-    tx = fx - i0
-    ty = fy - j0
-    v = grid.values
-    v00 = v[i0, j0]
-    v10 = v[i0 + 1, j0]
-    v01 = v[i0, j0 + 1]
-    v11 = v[i0 + 1, j0 + 1]
-    return (
-        v00 * (1 - tx) * (1 - ty)
-        + v10 * tx * (1 - ty)
-        + v01 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
+    tx, ty = fx - i0, fy - j0
+    return i0 * grid.ny + j0, tx, ty, 1 - tx, 1 - ty
+
+
+def bilinear_sample(values: np.ndarray, weights, out: np.ndarray, scratch: np.ndarray):
+    """grid_sample of an (nx, ny) values array at the points of
+    bilinear_weights, written into out (returned); scratch is overwritten."""
+    k, tx, ty, sx, sy = weights
+    flat, ny = values.reshape(-1), values.shape[1]
+    np.take(flat, k, out=out)
+    out *= sx
+    out *= sy
+    for offset, u, v in ((ny, tx, sy), (1, sx, ty), (ny + 1, tx, ty)):
+        np.take(flat, k + offset, out=scratch)
+        scratch *= u
+        scratch *= v
+        out += scratch
+    return out
 
 
 def write_grd(grid: Grid, path: str) -> None:

@@ -204,12 +204,14 @@ def block_contrasts(
     return BlockContrasts(partition, float(alpha_max), ytilde, _lag_table(rel, rows), signal)
 
 
-def _alpha_nll(alpha: float, table: _LagTable, ytilde: np.ndarray) -> float:
+def _alpha_nll(
+    alpha: float, table: _LagTable, ytilde: np.ndarray, product: np.ndarray
+) -> float:
     """Negative restricted log likelihood 0.5 log|Sigma| + 0.5 Ytilde' Sigma^-1 Ytilde
     at index alpha and mu = 0, summed over blocks with contrasts Ytilde the
     rows of ytilde; +inf where LAPACK cannot factorize Sigma = L G_alpha L'."""
     n = len(ytilde)
-    half_logdet, quad = _whiten(table, ytilde, alpha, np.arange(n), np.zeros((n, 2)))
+    half_logdet, quad = _whiten(table, ytilde, alpha, np.arange(n), np.zeros((n, 2)), product)
     return float(np.sum(half_logdet)) + 0.5 * float(np.sum(quad))
 
 
@@ -229,10 +231,11 @@ def estimate_alpha(contrasts: BlockContrasts, *, stats: dict | None = None) -> f
     if not contrasts.signal.any():
         raise EstimationError("no block's contrasts carry signal: alpha cannot be estimated")
     ytilde = contrasts.ytilde[contrasts.signal]
+    product = np.empty((_EVAL_ROWS, contrasts.table.weights.shape[1]))
     searched = []
 
     def total(alpha: float) -> float:
-        searched.append((alpha, _alpha_nll(alpha, contrasts.table, ytilde)))
+        searched.append((alpha, _alpha_nll(alpha, contrasts.table, ytilde, product)))
         return searched[-1][1]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -444,7 +447,7 @@ def _whiten(
     alpha: float,
     which: np.ndarray,
     x: np.ndarray,
-    product: np.ndarray | None = None,
+    product: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """0.5 log|Sigma_1| and the quadratic form Ytilde' Sigma_1^-1 Ytilde at search points x.
 
@@ -456,18 +459,14 @@ def _whiten(
     them and its factor diagonals to the quadratic forms and log
     determinants.  The log determinant is +inf where LAPACK cannot
     factorize Sigma_1.  ``product``, of at least _EVAL_ROWS rows and a
-    column per table weight, holds the kernel-to-Sigma product; without it
-    the call allocates its own.
+    column per table weight, holds the kernel-to-Sigma product.
     """
     m = ytilde.shape[1]
     points, point_of = _point_groups(x)
     order = np.argsort(point_of, kind="stable")
     edges = np.searchsorted(point_of[order], np.arange(len(points) + 1))
-    # one product and one diagonal buffer for every chunk, and with
-    # `product` for every call of a fit: fresh pages would be faulted in
-    # each time
-    if product is None:
-        product = np.empty((min(len(points), _EVAL_ROWS), table.weights.shape[1]))
+    # one product buffer for every call of a search and one diagonal buffer
+    # for every chunk: fresh pages would be faulted in each time
     diag = np.empty((min(len(points), _EVAL_ROWS), m))
     half_logdet = np.empty(len(points))
     quad = np.empty(len(which))
@@ -505,7 +504,7 @@ def _profiled_nll(
     alpha: float,
     which: np.ndarray,
     x: np.ndarray,
-    product: np.ndarray | None = None,
+    product: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiled negative log likelihood and scale at search points x, as
     _whiten scores them.  The value is +inf where LAPACK cannot factorize

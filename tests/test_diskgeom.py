@@ -1,5 +1,7 @@
 """Hyperbolic metric, Frechet means, smoothing, and ellipse conversions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -454,3 +456,30 @@ def test_interpolate_array_matches_pointwise_loop():
     grid = interpolate_dilatation(field, locs[: xs.size * ys.size].reshape(xs.size, ys.size))
     assert grid.shape == (xs.size, ys.size)
     assert np.array_equal(grid.ravel(), values[: xs.size * ys.size])
+
+
+def test_interpolate_holds_one_chunk_at_a_time(monkeypatch):
+    # a 40 x 40 block field (the 400 x 400 config's 1600 blocks) sampled at
+    # 128 x 128 points reaching past the centers, 1008 of them extrapolated.
+    # Held at once, the corner means and the nearest-block distances take
+    # about 2.4 kB a point (39 MiB here); in chunks the peak is the input,
+    # the values and one chunk's temporaries.  Each value depends on its
+    # point alone, so other chunk sizes give the same bits and counts
+    rng = np.random.default_rng(5)
+    field = _make_field(40, 40, _random_disk_points(rng, 1600, rmax=0.7), block=10)
+    ax = np.linspace(0.0, 4.0, 128)
+    locs = (ax[:, None] + 1j * ax[None, :]).ravel()
+    stats = {}
+    tracemalloc.start()
+    try:
+        values = interpolate_dilatation(field, locs, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["points_extrapolated"] == 1008
+    assert peak < 4 * 2**20
+    monkeypatch.setattr(diskgeom, "INTERP_CHUNK", 37)
+    monkeypatch.setattr(diskgeom, "NEAREST_PAIRS", 5000)
+    small = {}
+    assert np.array_equal(interpolate_dilatation(field, locs, stats=small), values)
+    assert small == stats

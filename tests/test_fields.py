@@ -434,8 +434,10 @@ def test_evenly_spaced_line_draws_in_merged_strips():
 
 def test_tiles_with_no_period_draw_by_the_dense_factor():
     # scattered sites, and a bent lattice with one site moved, have no period:
-    # each draw is dpotrf's factor times its seeded normals, bit for bit,
-    # also for a translated copy that shares the first tile's factor
+    # each draw is dpotrf's factor times its seeded normals, bit for bit, as
+    # the one-strip draw forms it (the group's normals, one row per tile,
+    # times the factor's transpose), also for a translated copy that shares
+    # the first tile's factor
     m = CovarianceModel.matern(1.0, 0.4, 0.85)
     rng = np.random.default_rng(8)
     scattered = rng.uniform(size=60) + 1j * rng.uniform(size=60)
@@ -447,14 +449,17 @@ def test_tiles_with_no_period_draw_by_the_dense_factor():
         assert _tile_period(sites) == n
         factor = _dense_factor(m, sites)
         got = simulate_isotropic(m, sites, 3).values
-        seq = np.random.SeedSequence(3)
-        assert np.array_equal(got, factor @ np.random.default_rng(seq).standard_normal(n))
+        z = np.random.default_rng(np.random.SeedSequence(3)).standard_normal((1, n))
+        assert np.array_equal(got, (z @ factor.T)[0])
         both = np.concatenate([sites, sites + 5.0])
         got = simulate_isotropic(m, both, 3, blocks=[np.arange(n), np.arange(n, 2 * n)]).values
-        for k in (0, 1):
-            seq = np.random.SeedSequence(3, spawn_key=(k,))
-            want = factor @ np.random.default_rng(seq).standard_normal(n)
-            assert np.array_equal(got[k * n : (k + 1) * n], want)
+        z = np.array(
+            [
+                np.random.default_rng(np.random.SeedSequence(3, spawn_key=(k,))).standard_normal(n)
+                for k in (0, 1)
+            ]
+        )
+        assert np.array_equal(got.reshape(2, n), z @ factor.T)
 
 
 def _repeated_strips():
@@ -607,8 +612,9 @@ def test_simulation_counts_jittered_tiles():
 def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
     # a failed rung drops its matrix and the next rung builds a new one:
     # one build per rung tried, one per congruence group.  A tile with no
-    # period builds its whole matrix; a periodic one its first block row
-    # alone, 40 rows here, and the whole matrix only for a failure's spectrum
+    # period is one strip and builds all of its rows; a periodic one its
+    # first block row alone, 40 rows here, and the whole matrix only for a
+    # failure's spectrum
     builds = []
 
     def build(model, locations, diagonal, stats=None, rows=None):
@@ -622,13 +628,13 @@ def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
     line = np.linspace(0, 1, 80) + 0.5j
     copied = np.tile(line[:40], 2)  # two strips of 40, the second a copy of the first
     for sites, want in (
-        (pts, [(1.0, None)]),
-        (twice, [(1.0, None), (1.0 + 1e-12, None)]),  # rung 0, then rung 1 for the repeated site
+        (pts, [(1.0, 8)]),
+        (twice, [(1.0, 9), (1.0 + 1e-12, 9)]),  # rung 0, then rung 1 for the repeated site
         (line, [(1.0, 40)]),
         # rung 1 passes, but the copied strip drives the pass's accuracy
         # indicator far above SCHUR_INDICATOR_MAX, so the tile is drawn
         # again as one strip, from rung 0
-        (copied, [(1.0, 40), (1.0 + 1e-12, 40), (1.0, None), (1.0 + 1e-12, None)]),
+        (copied, [(1.0, 40), (1.0 + 1e-12, 40), (1.0, 80), (1.0 + 1e-12, 80)]),
     ):
         builds.clear()
         simulate_isotropic(m, sites, 0)
@@ -644,11 +650,57 @@ def test_each_jitter_rung_builds_the_tile_afresh(monkeypatch):
     # every rung fails: one build per rung, and one of the whole matrix for
     # the spectrum
     monkeypatch.setattr(fields, "JITTER_LADDER", (0.0, 1e-300))
-    for sites, rows in ((twice, None), (copied, 40)):
+    for sites, rows in ((twice, 9), (copied, 40)):
         builds.clear()
         with pytest.raises(SimulationError):
             simulate_isotropic(m, sites, 0)
         assert builds == [(1.0, rows), (1.0, rows), (1.0, None)]
+
+
+def test_every_tile_is_drawn_by_the_schur_routine(monkeypatch):
+    # a periodic tile, tiles with no period and a redrawn group all reach
+    # _schur_draw once per rung tried, with their strip's rows (all of the
+    # tile's for one strip), as one congruence group draws once; LAPACK is
+    # called from inside _schur_draw only, never by _draw_tile itself
+    strips, inside = [], []
+    draw = fields._schur_draw
+
+    def schur(row, normals):
+        strips.append(row.shape[0])
+        inside.append(True)
+        try:
+            return draw(row, normals)
+        finally:
+            inside.pop()
+
+    def guarded(routine):
+        def call(*args, **kwargs):
+            assert inside, "a LAPACK routine was called outside _schur_draw"
+            return routine(*args, **kwargs)
+
+        return call
+
+    for name in ("dpotrf", "dtrtrs", "dlange", "dtrsm"):
+        monkeypatch.setattr(fields, name, guarded(getattr(fields, name)))
+    monkeypatch.setattr(fields, "_schur_draw", schur)
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
+    pts = np.linspace(0, 1, 8) + 0.5j
+    line = np.linspace(0, 1, 80) + 0.5j
+    rng = np.random.default_rng(8)
+    for sites, want in (
+        (line, [40]),  # periodic: strips of 40
+        (rng.uniform(size=60) + 1j * rng.uniform(size=60), [60]),  # no period: one strip
+        (np.append(pts, pts[3]), [9, 9]),  # one strip, at rung 0 and rung 1
+        (np.tile(line[:40], 2), [40, 40, 80, 80]),  # strips, then redrawn as one strip
+    ):
+        both = np.concatenate([sites, sites + 4.0])
+        blocks = [np.arange(sites.size), np.arange(sites.size, both.size)]
+        for tiles, kwargs in ((sites, {}), (both, {"blocks": blocks})):
+            strips.clear()
+            stats = {}
+            simulate_isotropic(m, tiles, 0, stats=stats, **kwargs)
+            assert strips == want
+            assert stats["factors"] == 1
 
 
 @pytest.mark.parametrize(
@@ -676,7 +728,9 @@ def test_draws_are_the_factor_times_the_seeded_normals():
     # factor of the first tile of its congruence group.  The 64 sites repeat
     # in strips of 8 and are drawn in two steps of 32 by the block Schur
     # algorithm, within rounding of the dense oracle; the 16-site tiles are
-    # one strip each and take the dense factor's product bit for bit
+    # one strip each and take the dense factor's product bit for bit, as the
+    # draw forms it: the group's normals, one row per tile, times the
+    # factor's transpose
     m = CovarianceModel.polynomial_plus_fractional(0.5151, 0.7, 1.0)
     ax = np.arange(8) / 7.0
     sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
@@ -694,13 +748,11 @@ def test_draws_are_the_factor_times_the_seeded_normals():
     got = simulate_isotropic(m, sites, 5, blocks=blocks).values
     for members in groups:
         shared = _dense_factor(m, sites[blocks[members[0]]])
-        for k in members:
+        z = np.array([normals(np.random.SeedSequence(5, spawn_key=(k,)), 16) for k in members])
+        for k, zk, want in zip(members, z, z @ shared.T):
             idx = blocks[k]
-            z = normals(np.random.SeedSequence(5, spawn_key=(k,)), idx.size)
-            assert np.array_equal(got[idx], shared @ z)
-            own = _dense_factor(m, sites[idx]) @ z
-            if k == members[0]:
-                assert np.array_equal(got[idx], own)
+            assert np.array_equal(got[idx], want)
+            own = _dense_factor(m, sites[idx]) @ zk
             assert np.max(np.abs(got[idx] - own)) <= 1e-12
 
 

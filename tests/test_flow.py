@@ -15,7 +15,13 @@ from deformfield.flow import (
     reconstruct_map,
     sigma_field,
 )
-from deformfield.grids import ComplexGrid, grid_sample
+from deformfield.grids import (
+    ComplexGrid,
+    Grid,
+    bilinear_sample,
+    bilinear_weights,
+    grid_sample,
+)
 
 
 def _const_mu(n, value, spacing=None):
@@ -309,19 +315,39 @@ def test_flow_step_validation():
         flow_step(state, 0.1, mu)
 
 
+def _bilinear_formula(grid, points):
+    # grid_sample's documented formula, written with whole arrays
+    fx = (points.real - grid.origin[0]) / grid.spacing[0]
+    fy = (points.imag - grid.origin[1]) / grid.spacing[1]
+    i0 = np.clip(np.floor(fx).astype(np.int64), 0, grid.nx - 2)
+    j0 = np.clip(np.floor(fy).astype(np.int64), 0, grid.ny - 2)
+    tx, ty = fx - i0, fy - j0
+    v = grid.values
+    return (
+        v[i0, j0] * (1 - tx) * (1 - ty)
+        + v[i0 + 1, j0] * tx * (1 - ty)
+        + v[i0, j0 + 1] * (1 - tx) * ty
+        + v[i0 + 1, j0 + 1] * tx * ty
+    )
+
+
 def test_step_sampler_equals_grid_sample_of_each_grid():
     # one set of corner indices and weights serves w and wz; points outside
-    # the lattice box are extrapolated as grid_sample does
+    # the lattice box are extrapolated, and the step's sampler, like
+    # grid_sample, gives the bits of the bilinear formula
     rng = np.random.default_rng(11)
     grid = ComplexGrid(13, 17, (-0.3, 0.2), (0.07, 0.05), np.zeros((13, 17)))
     points = (rng.uniform(-0.4, 0.6, 500) + 1j * rng.uniform(0.1, 1.1, 500))
     points[:4] = grid.locations()[[0, 16, 204, 220]]  # lattice corners
-    weights = flow._sample_weights(grid, points)
+    weights = bilinear_weights(grid, points)
     out, scratch = np.empty((2, points.size), dtype=np.complex128)
     for _ in range(2):
         values = rng.standard_normal((13, 17)) + 1j * rng.standard_normal((13, 17))
-        got = flow._sample(values, weights, out, scratch)
-        assert np.array_equal(got, grid_sample(grid.with_values(values), points))
+        want = _bilinear_formula(grid.with_values(values), points)
+        assert np.array_equal(bilinear_sample(values, weights, out, scratch), want)
+        assert np.array_equal(grid_sample(grid.with_values(values), points), want)
+    real = Grid(13, 17, (-0.3, 0.2), (0.07, 0.05), rng.standard_normal((13, 17)))
+    assert np.array_equal(grid_sample(real, points), _bilinear_formula(real, points))
 
 
 def test_differences_equal_np_gradient():

@@ -41,6 +41,11 @@ from deformfield.likelihood import (
 )
 
 
+def _product(table):
+    # the kernel-to-Sigma work array that each search allocates
+    return np.empty((_EVAL_ROWS, table.weights.shape[1]))
+
+
 def _lattice_sites(n: int, spacing: float = 0.01):
     xs = np.arange(n) * spacing
     return (xs[:, None] + 1j * xs[None, :]).ravel()
@@ -159,7 +164,7 @@ def test_neg_loglik_alpha_matches_direct_computation():
         for k in range(2):
             w = np.linalg.solve(chol, L.rows @ vals[:, k])
             want += float(np.sum(np.log(np.diag(chol))) + 0.5 * w @ w)
-        got = _alpha_nll(0.9, table, (rows @ vals).T)
+        got = _alpha_nll(0.9, table, (rows @ vals).T, _product(table))
         assert got == pytest.approx(want, rel=1e-10), moved
 
 
@@ -252,7 +257,9 @@ def test_whiten_skips_the_grouping_when_rows_share_one_point(monkeypatch):
         _simulated_field(20, model, seed=5), partition_grid(20, 20, 10, spacing=(0.01, 0.01))
     )
     n = len(contrasts.ytilde)
-    args = (contrasts.table, contrasts.ytilde, 0.9, np.arange(n)[::-1], np.zeros((n, 2)))
+    table = contrasts.table
+    product = _product(table)
+    args = (table, contrasts.ytilde, 0.9, np.arange(n)[::-1], np.zeros((n, 2)), product)
     quick = _whiten(*args)
 
     def grouped(x):
@@ -532,7 +539,7 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
 
     monkeypatch.setattr(likelihood, "dpotrf", counting)
     monkeypatch.setattr(likelihood, "dtpttr", counting_unpack)
-    nll, s_hat = _profiled_nll(table, ytilde, alpha, which, x)
+    nll, s_hat = _profiled_nll(table, ytilde, alpha, which, x, _product(table))
     # one unpack and one factor per parity group per distinct point
     assert factors == [46, 48] * 42
     assert unpacked == [46, 48] * 42
@@ -543,7 +550,9 @@ def test_lag_table_objective_matches_sandwich_formula(alpha, monkeypatch):
         assert s_hat[i] == pytest.approx(want_s, rel=1e-10), (i, mu)
     # rows sharing a factor score as one-row calls do
     for i in (3, 42, 43, 44):
-        one_nll, one_s = _profiled_nll(table, ytilde, alpha, which[i : i + 1], x[i : i + 1])
+        one_nll, one_s = _profiled_nll(
+            table, ytilde, alpha, which[i : i + 1], x[i : i + 1], _product(table)
+        )
         assert nll[i] == pytest.approx(one_nll[0], rel=1e-12), i
         assert s_hat[i] == pytest.approx(one_s[0], rel=1e-12), i
 
@@ -603,7 +612,7 @@ def test_whiten_in_chunks_matches_one_pass_over_all_points(n_points, monkeypatch
         return factor, (1 if len(calls) == 2 * 40 else info)
 
     monkeypatch.setattr(likelihood, "dpotrf", failing)
-    got = _whiten(table, ytilde, 0.7, which, x)
+    got = _whiten(table, ytilde, 0.7, which, x, _product(table))
     assert len(calls) == 2 * n_points
     calls.clear()
     want = _whiten_at_once(table, ytilde, 0.7, which, x)
@@ -616,16 +625,16 @@ def test_whiten_in_chunks_matches_one_pass_over_all_points(n_points, monkeypatch
 def test_profiled_nll_reuses_one_set_of_work_arrays():
     # a fit's product array serves a call of more than one chunk, one of
     # fewer points than a chunk and one of none, with the bits of calls that
-    # allocate their own
+    # each take a fresh one
     rel, rows, ytilde = _block_contrasts()
     table = _lag_table(rel, rows)
-    product = np.empty((_EVAL_ROWS, table.weights.shape[1]))
+    product = _product(table)
     rng = np.random.default_rng(12)
     for size in (_EVAL_ROWS + 9, 5, 0):
         x = rng.normal(scale=0.8, size=(size, 2))
         which = np.arange(size) % ytilde.shape[0]
         got = _profiled_nll(table, ytilde, 0.7, which, x, product)
-        want = _profiled_nll(table, ytilde, 0.7, which, x)
+        want = _profiled_nll(table, ytilde, 0.7, which, x, _product(table))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert got[0].shape == (size,)
 
@@ -660,7 +669,7 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
     ytilde = rng.normal(size=(4, rows.shape[0]))
     x = rng.normal(scale=0.8, size=(8, 2))
     table = _lag_table(rel, rows)
-    nll, _ = _profiled_nll(table, ytilde, 4.5, np.arange(8) % 4, x)
+    nll, _ = _profiled_nll(table, ytilde, 4.5, np.arange(8) % 4, x, _product(table))
     assert np.all(np.isinf(nll))
     diff = rel[:, None] - rel[None, :]
     for xi in x:
@@ -668,7 +677,7 @@ def test_lag_table_objective_is_inf_where_no_factor_exists():
         sigma = rows @ g_alpha(4.5, np.abs(diff + mu * np.conj(diff))) @ rows.T
         sigma = 0.5 * (sigma + sigma.T)
         assert dpotrf(sigma, lower=1)[1] != 0
-    assert _alpha_nll(4.5, table, ytilde) == np.inf
+    assert _alpha_nll(4.5, table, ytilde, _product(table)) == np.inf
 
 
 @pytest.mark.parametrize(
@@ -741,8 +750,8 @@ def test_split_objective_matches_the_rows_scored_as_one_group(alpha, monkeypatch
     rng = np.random.default_rng(9)
     x = np.vstack([rng.normal(scale=0.8, size=(30, 2)), [[np.arctanh(0.999), -0.4]]])
     which = np.arange(x.shape[0]) % ytilde.shape[0]
-    nll, s_hat = _profiled_nll(split, ytilde, alpha, which, x)
-    want_nll, want_s = _profiled_nll(whole, ytilde, alpha, which, x)
+    nll, s_hat = _profiled_nll(split, ytilde, alpha, which, x, _product(split))
+    want_nll, want_s = _profiled_nll(whole, ytilde, alpha, which, x, _product(whole))
     np.testing.assert_allclose(nll, want_nll, rtol=1e-12, atol=0)
     np.testing.assert_allclose(s_hat, want_s, rtol=1e-12, atol=0)
 
@@ -762,7 +771,7 @@ def test_lag_table_without_even_and_odd_rows_takes_one_group(moved):
     ytilde = rng.normal(size=(3, rows.shape[0]))
     x = rng.normal(scale=0.8, size=(6, 2))
     which = np.arange(6) % 3
-    nll, s_hat = _profiled_nll(table, ytilde, 0.7, which, x)
+    nll, s_hat = _profiled_nll(table, ytilde, 0.7, which, x, _product(table))
     for i in range(6):
         want_nll, want_s = _sandwich_nll(z, rows, ytilde[which[i]], 0.7, _mu_from_x(x[i]))
         assert nll[i] == pytest.approx(want_nll, rel=1e-10), i
@@ -778,7 +787,7 @@ def test_a_lone_contrast_row_takes_one_group():
     table = _lag_table(rel, rows)
     assert table.groups == (slice(0, 1),)
     x = np.array([[0.3, -0.2]] * 4)
-    nll, s_hat = _profiled_nll(table, ytilde, 0.7, np.arange(4), x)
+    nll, s_hat = _profiled_nll(table, ytilde, 0.7, np.arange(4), x, _product(table))
     for i in range(4):
         want_nll, want_s = _sandwich_nll(rel, rows, ytilde[i], 0.7, _mu_from_x(x[i]))
         assert nll[i] == pytest.approx(want_nll, rel=1e-10), i
