@@ -125,7 +125,10 @@ def _karcher_mean(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         a = 0.5 * np.sum(wa * (1.0 + c), axis=-1)
         b = 0.5 * np.sum(wa * (1.0 - c) * (v / np.where(d > 0, d, 1.0)) ** 2, axis=-1)
         g = np.sum(wa * v, axis=-1)
-        s = (a * g - b * np.conj(g)) / (a * a - np.abs(b) ** 2)
+        # named, so numpy cannot reuse it as the product's output: an in-place
+        # multiply rounds differently, and means would depend on the call size
+        g_conj = np.conj(g)
+        s = (a * g - b * g_conj) / (a * a - np.abs(b) ** 2)
         cand, fc = ma.copy(), np.full(act.size, np.inf)
         for _ in range(60):
             bad = np.flatnonzero(~(fc <= fa))

@@ -34,11 +34,11 @@ POLY_FRACTIONAL = "polynomial-plus-fractional"
 #: the covariance's largest diagonal entry (the variance).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-#: Simulation tiles whose canonical sites agree within this multiple of the
-#: tile's reach (its largest distance from its first site) are congruent and
-#: share one covariance factor; see congruent_tiles.  Strips of a tile that
-#: agree as closely under one rigid motion share one block row of its
-#: covariance; see _tile_period.
+#: Simulation tiles that one rigid motion carries onto each other within
+#: this multiple of the first tile's reach (its largest distance from its
+#: first site) are congruent and share one covariance factor; see
+#: congruent_tiles.  Strips of a tile that repeat as closely share one block
+#: row of its covariance; see _strip.
 CONGRUENCE_TOL = 1e-12
 
 #: The Matern-form families sum K as a power series in (t / range)^2 up to
@@ -60,9 +60,8 @@ SERIES_CHUNK = 32768
 #: in one array, so the temporaries stay small against the tile's matrix.
 SLAB_ROWS = 64
 
-#: Fewest sites in one strip of a periodic tile's block Schur draw: a
-#: smaller period is merged into the smallest multiple of it that divides
-#: the tile and holds this many, so the draw takes fewer, larger steps.
+#: Fewest sites in one strip of a tile's block Schur draw, so the draw
+#: takes few, large steps; see _strip.
 MIN_STRIP = 32
 
 #: Largest accuracy indicator of a block Schur pass, eps times the product
@@ -284,30 +283,34 @@ class SampleField:
         return self.locations.size
 
 
-def _tile_period(locations: np.ndarray) -> int:
-    """The smallest s < n dividing n whose strips of s sites repeat under one rigid motion.
+def _rigid_repeat(strips: np.ndarray, tol: float) -> bool:
+    """Whether one proper rigid motion carries each row of strips onto the next.
 
-    Strip r holds sites r s .. r s + s - 1.  The proper rigid motion
-    z -> a z + c (|a| = 1) that best carries each site k < n - s onto site
-    k + s, in least squares, must carry strip 0 onto every strip r when
-    applied r times: site by site within CONGRUENCE_TOL times the tile's
-    reach (its largest distance from its first site), so every distance
-    between strips r and r + q agrees within twice that with the same pair
-    between strips 0 and q.  Returns n when no s < n does.
+    The motion z -> a z + c (|a| = 1) that best carries rows 0 .. m - 2
+    onto rows 1 .. m - 1, site by site in least squares, must carry row 0
+    onto every row r when applied r times, each site within tol; every
+    distance between rows r and r + q then agrees within 2 tol with the
+    same pair between rows 0 and q.
     """
+    src, dst = strips[:-1].ravel(), strips[1:].ravel()
+    a = np.vdot(src - src.mean(), dst - dst.mean())
+    a = a / abs(a) if a else 1.0
+    c = dst.mean() - a * src.mean()
+    turn = a ** np.arange(len(strips))
+    shift = c * np.cumsum(np.concatenate(([0.0], turn[:-1])))  # c (1 + a + ... + a^(r-1))
+    return bool(np.max(np.abs(strips - (turn[:, None] * strips[0] + shift[:, None]))) <= tol)
+
+
+def _strip(locations: np.ndarray) -> int:
+    """Sites per strip of a tile's block Schur draw: the smallest s >= MIN_STRIP
+    dividing n whose strips of s sites (strip r holds sites r s .. r s + s - 1)
+    repeat under one rigid motion (_rigid_repeat) within CONGRUENCE_TOL times
+    the tile's reach, its largest distance from its first site; n, one strip
+    and the dense draw, when no s < n does."""
     n = locations.size
     tol = CONGRUENCE_TOL * float(np.max(np.abs(locations - locations[0])))
-    for s in range(1, n):
-        if n % s:
-            continue
-        src, dst = locations[:-s], locations[s:]
-        a = np.vdot(src - src.mean(), dst - dst.mean())
-        a = a / abs(a) if a else 1.0
-        c = dst.mean() - a * src.mean()
-        turn = a ** np.arange(n // s)
-        shift = c * np.cumsum(np.concatenate(([0.0], turn[:-1])))  # c (1 + a + ... + a^(r-1))
-        strips = locations.reshape(-1, s)
-        if np.max(np.abs(strips - (turn[:, None] * strips[0] + shift[:, None]))) <= tol:
+    for s in range(MIN_STRIP, n):
+        if n % s == 0 and _rigid_repeat(locations.reshape(-1, s), tol):
             return s
     return n
 
@@ -321,43 +324,27 @@ def _covariance_upper(
 ) -> np.ndarray:
     """Covariance K(|z_i - z_j|) between complex locations, upper triangle only.
 
-    Returns the first ``rows`` rows (every row by default), a whole number
-    of the tile's periods.  The tile's strips of _tile_period's s sites
-    repeat under one rigid motion, so the covariance is block-Toeplitz:
-    block row r, rows r s to r s + s - 1, is the first block row shifted r
-    blocks to the right.  K is evaluated on the first block row alone,
+    Returns the first ``rows`` rows (every row by default) of a zeroed
+    C-ordered matrix with ``diagonal`` on its diagonal.  K is evaluated
     SLAB_ROWS rows at a time on the distances from those rows to every
-    later site, and each slab is copied into every block row of a zeroed
-    C-ordered matrix with ``diagonal`` on its diagonal.  Below the
-    diagonal the matrix stays zero: the upper triangle is the lower
-    triangle of the Fortran-ordered transpose that dpotrf reads.  A tile
-    with no period is one strip, and every entry above its diagonal is
-    bit-identical to covariance_eval on the full distance matrix; in later
-    block rows of a periodic tile an entry takes the distance of its
-    pair's copy in the first block row.  A given stats dict gets the
-    number of kernel values evaluated (kernel_entries).
+    later site, so every entry above the diagonal is bit-identical to
+    covariance_eval on the full distance matrix.  Below the diagonal the
+    matrix stays zero: the upper triangle is the lower triangle of the
+    Fortran-ordered transpose that dpotrf reads.  A given stats dict gets
+    the number of kernel values evaluated (kernel_entries).
     """
     n = locations.size
-    period = _tile_period(locations)
     cov = np.zeros((n if rows is None else rows, n))
-    for top in range(0, period, SLAB_ROWS):
-        band = slice(top, min(top + SLAB_ROWS, period))
+    for top in range(0, cov.shape[0], SLAB_ROWS):
+        band = slice(top, min(top + SLAB_ROWS, cov.shape[0]))
         slab = covariance_eval(model, np.abs(locations[top:] - locations[band, None]))
         head = slab[:, : band.stop - top]  # the slab's own square on the diagonal
         head[np.tril_indices_from(head, -1)] = 0.0
         np.fill_diagonal(head, diagonal)
-        for shift in range(0, cov.shape[0], period):
-            cov[shift + top : shift + band.stop, shift + top :] = slab[:, : n - shift - top]
+        cov[band, top:] = slab
         if stats is not None:
             stats["kernel_entries"] = stats.get("kernel_entries", 0) + slab.size
     return cov
-
-
-def _strip(period: int, n: int) -> int:
-    """Sites per strip of a tile's block Schur draw: the smallest multiple
-    of its period that divides n and holds at least MIN_STRIP sites, or n
-    (one strip, the dense draw) when no such multiple is smaller."""
-    return next((s for s in range(period, n, period) if s >= MIN_STRIP and n % s == 0), n)
 
 
 def _schur_draw(row: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -455,7 +442,7 @@ def _draw_tile(
     one strip (schur_redrawn).
     """
     n = locations.size
-    strip = _strip(_tile_period(locations), n) if strip is None else strip
+    strip = _strip(locations) if strip is None else strip
     v = model.variance
     for rung, jitter in enumerate(JITTER_LADDER):
         # the row is passed on, not kept, so the draw can drop it early
@@ -492,10 +479,10 @@ def simulate_isotropic(
     into tiles; without it all locations form one tile.  Each tile is drawn
     exactly as L z for the lower Cholesky factor L of its covariance,
     independently of the others as the block likelihood assumes, and none
-    may exceed MAX_EXACT_SIM locations.  A tile whose strips repeat under
-    one rigid motion (see _tile_period) is drawn from its first block row
-    by the block Schur algorithm in O(s n) memory for strips of s sites;
-    any other tile as one strip, by its dense factor.  Congruent tiles (see
+    may exceed MAX_EXACT_SIM locations.  A tile whose strips of s sites
+    repeat under one rigid motion (see _strip) is drawn from its first block
+    row by the block Schur algorithm in O(s n) memory; any other tile as one
+    strip, by its dense factor.  Congruent tiles (see
     congruent_tiles) are drawn together from their group's first tile, as
     their site distances agree within 2 * CONGRUENCE_TOL of the tile's
     reach; groups are drawn one after another, so one group's working set
@@ -546,27 +533,23 @@ def simulate_isotropic(
 def congruent_tiles(locations: np.ndarray, tiles: list[np.ndarray]) -> list[list[int]]:
     """Group tiles whose sites are proper rigid motions of each other, site for site.
 
-    Each tile's sites z are written as w = (z - z[0]) * conj(u), where u is
-    the unit vector from its first site to its last (1 if they coincide).
-    A tile joins the first earlier group whose first tile has as many sites
-    and whose w agree with its own within CONGRUENCE_TOL * max|w|, site by
-    site; by the triangle inequality every pairwise distance then agrees
+    A tile joins the first earlier group whose first tile has as many
+    sites and, followed by the tile as a second strip, passes _rigid_repeat
+    within CONGRUENCE_TOL times that first tile's reach (its largest
+    distance from its first site); every pairwise distance then agrees
     within twice that.  Mirror images, tiles of another size and tiles
     whose sites come in another order start groups of their own.  Returns
     the tile positions of each group, groups in order of their first tile.
     """
     groups: list[tuple[np.ndarray, float, list[int]]] = []
     for k, idx in enumerate(tiles):
-        w = locations[idx] - locations[idx[0]]
-        reach = abs(w[-1])
-        if reach > 0:
-            w *= np.conj(w[-1]) / reach
+        z = locations[idx]
         for first, tol, members in groups:
-            if first.size == w.size and np.max(np.abs(w - first)) <= tol:
+            if first.size == z.size and _rigid_repeat(np.stack([first, z]), tol):
                 members.append(k)
                 break
         else:
-            groups.append((w, CONGRUENCE_TOL * float(np.max(np.abs(w))), [k]))
+            groups.append((z, CONGRUENCE_TOL * float(np.max(np.abs(z - z[0]))), [k]))
     return [members for _, _, members in groups]
 
 

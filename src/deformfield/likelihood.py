@@ -299,7 +299,7 @@ _EVAL_ROWS = 64
 
 # The largest lag table a block size and contrast degree may need, checked
 # before any table is built (lag_table_bytes): block 25 at alpha_max 4 needs
-# 0.86 GiB, block 30 2.7 GiB.
+# 0.86 GiB, block 30 2.60 GiB.
 MAX_LAG_TABLE_BYTES = 1 << 30
 
 

@@ -195,6 +195,21 @@ def test_frechet_mean_batched_equals_rows():
     assert np.max(np.abs(means - rows)) < 1e-14
 
 
+@pytest.mark.parametrize("k", [4, 16])
+def test_frechet_mean_bits_do_not_depend_on_the_call_size(k):
+    # 20000 sets reach arrays of 256 KiB, where numpy may reuse a temporary
+    # as the output of the next operation and multiply with another kernel;
+    # each set's mean is the same bits in one call and in chunks
+    rng = np.random.default_rng(31 + k)
+    n = 20000
+    pts = _random_disk_points(rng, n * k, rmax=0.9).reshape(n, k)
+    w = rng.uniform(0.1, 1.0, pts.shape)
+    whole = frechet_mean(pts, w)
+    for chunk in (1024, 37):
+        parts = [frechet_mean(pts[i : i + chunk], w[i : i + chunk]) for i in range(0, n, chunk)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_frechet_mean_rotation_equivariance():
     # rotations are isometries, so the mean rotates with the data
     rng = np.random.default_rng(21)

@@ -25,7 +25,6 @@ from deformfield.fields import (
     _covariance_upper,
     _draw_tile,
     _strip,
-    _tile_period,
     add_noise,
     apply_deformation,
     congruent_tiles,
@@ -225,28 +224,23 @@ def test_simulation_deterministic_per_seed():
     ],
 )
 def test_covariance_matrix_matches_elementwise_kernel(model):
-    # a tile with no period takes every entry from its own site pair, bit for
-    # bit; the lattice and the bent lattice repeat column by column, and their
-    # later block rows copy the first within rounding; nothing is written
-    # below the diagonal
+    # every entry takes its own site pair's distance, bit for bit, on tiles
+    # with no period and on the lattice and the bent lattice, which repeat in
+    # strips of three columns; nothing is written below the diagonal
     ax = np.arange(12) / 11.0
     lattice = (ax[:, None] + 1j * ax[None, :]).ravel()
     bent = apply_deformation(DeformationSpec.rotational(), lattice)
     moved = bent.copy()
     moved[100] += 1e-6
     scattered = np.random.default_rng(5).uniform(size=(144, 2)) @ np.array([1.0, 1j])
-    for sites, period in ((lattice, 12), (bent, 12), (moved, 144), (scattered, 144)):
-        assert _tile_period(sites) == period
+    for sites, strip in ((lattice, 36), (bent, 36), (moved, 144), (scattered, 144)):
+        assert _strip(sites) == strip
         dist = np.abs(sites[:, None] - sites[None, :])
         cov = _covariance_upper(model, sites, model.variance)
-        want = np.triu(covariance_eval(model, dist))
-        if period < sites.size:
-            assert np.max(np.abs(np.triu(cov) - want)) <= 1e-13 * model.variance
-        else:
-            assert np.array_equal(np.triu(cov), want)
+        assert np.array_equal(np.triu(cov), np.triu(covariance_eval(model, dist)))
         assert np.all(np.tril(cov, -1) == 0.0)
         # the first block rows alone, as the block Schur draw builds them
-        rows = min(2 * period, sites.size)
+        rows = min(2 * strip, sites.size)
         top = _covariance_upper(model, sites, model.variance, rows=rows)
         assert np.array_equal(top, cov[:rows])
 
@@ -377,7 +371,7 @@ def test_cholesky_factor_contract():
     # that repeat under one rotation, drawn four strips (40 sites) a step
     lattice = (np.arange(20)[:, None] / 19.0 + 1j * np.arange(10)[None, :] / 9.0).ravel()
     sites = apply_deformation(DeformationSpec.rotational(), lattice)
-    assert _tile_period(sites) == 10 and _strip(10, sites.size) == 40
+    assert _strip(sites) == 40
     for model in _PERIODIC_MODELS:
         _check_schur_factor(model, sites, 40)
 
@@ -394,7 +388,7 @@ def test_smooth_kernels_fall_back_to_the_dense_factor():
         ax = np.arange(side) * spacing
         sites = apply_deformation(DeformationSpec.rotational(), (ax[:, None] + 1j * ax).ravel())
         n = sites.size
-        assert _strip(_tile_period(sites), n) < n
+        assert _strip(sites) < n
         for nu in (2.5, 3.7):
             m = CovarianceModel.matern(1.0, 0.2, nu)
             stats = {}
@@ -415,21 +409,34 @@ def test_smooth_kernels_fall_back_to_the_dense_factor():
 
 
 def test_evenly_spaced_line_draws_in_merged_strips():
-    # a line repeats site by site (period 1); its draw takes strips of 40, the
-    # smallest multiple of the period that divides 240 and holds MIN_STRIP
-    # sites, so it runs 6 steps and not 240, from one kernel row of 240
-    # distances copied into the strip's 40 rows
+    # a line repeats site by site; its draw takes strips of 40, the smallest
+    # s that divides 240 and holds MIN_STRIP sites, so it runs 6 steps and
+    # not 240, from the kernel on the strip's 40 rows of 240 distances
     line = np.linspace(0.0, 1.0, 240) * np.exp(0.3j) + 0.2
-    assert _tile_period(line) == 1 and MIN_STRIP == 32 and _strip(1, 240) == 40
+    assert MIN_STRIP == 32 and _strip(line) == 40
     for model in _PERIODIC_MODELS:
         _check_schur_factor(model, line, 40)
         stats = {}
         _draw_tile(model, line, np.ones((1, 240)), stats)
-        assert stats == {"kernel_entries": 240}
-    # periods that already reach MIN_STRIP stay; a tile that no smaller
-    # multiple divides is one strip and is drawn densely
-    cases = [(50, 2500), (60, 3600), (12, 144), (1, 8), (4, 16), (1, 997), (997, 997)]
-    assert [_strip(p, n) for p, n in cases] == [50, 60, 36, 8, 16, 997, 997]
+        assert stats == {"kernel_entries": 40 * 240}
+
+    def lattice(side):  # repeats column by column: period side
+        ax = np.arange(side) / (side - 1)
+        return (ax[:, None] + 1j * ax).ravel()
+
+    # periods that already reach MIN_STRIP stay; a tile that no smaller s
+    # divides, or with no period, is one strip and is drawn densely
+    rng = np.random.default_rng(9)
+    tiles = [
+        lattice(50),  # period 50 of 2500
+        lattice(60),  # period 60 of 3600
+        lattice(12),  # period 12 of 144
+        np.linspace(0.0, 1.0, 8) + 0.0j,  # period 1 of 8
+        lattice(4),  # period 4 of 16
+        np.linspace(0.0, 1.0, 997) + 0.0j,  # period 1 of 997
+        rng.uniform(size=997) + 1j * rng.uniform(size=997),  # no period
+    ]
+    assert [_strip(sites) for sites in tiles] == [50, 60, 36, 8, 16, 997, 997]
 
 
 def test_tiles_with_no_period_draw_by_the_dense_factor():
@@ -446,7 +453,7 @@ def test_tiles_with_no_period_draw_by_the_dense_factor():
     moved[10] += 1e-6
     for sites in (scattered, moved):
         n = sites.size
-        assert _tile_period(sites) == n
+        assert _strip(sites) == n
         factor = _dense_factor(m, sites)
         got = simulate_isotropic(m, sites, 3).values
         z = np.random.default_rng(np.random.SeedSequence(3)).standard_normal((1, n))
@@ -490,8 +497,7 @@ def test_periodic_tiles_with_repeated_sites_take_the_dense_rung(case, monkeypatc
     m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
     sites = case()
     n = sites.size
-    strip = _strip(_tile_period(sites), n)
-    assert strip < n
+    assert _strip(sites) < n
     v = m.variance
     upper = _covariance_upper(m, sites, v)
     assert dpotrf(upper.T, lower=1)[1] != 0
@@ -540,8 +546,8 @@ def test_cholesky_allocates_no_copy_of_the_tile():
     model = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
     clean = np.linspace(0.0, 1.0, n) + 0.0j
     repeated = np.append(clean[:-1], clean[0])
-    strip = _strip(_tile_period(clean), n)
-    assert strip == 40 and _tile_period(repeated) == n
+    strip = _strip(clean)
+    assert strip == 40 and _strip(repeated) == n
     z = np.ones((1, n))
     for rung, sites, bound in ((0, clean, 6 * strip * n * 8), (1, repeated, 1.3 * n * n * 8)):
         tracemalloc.start()
@@ -703,6 +709,52 @@ def test_every_tile_is_drawn_by_the_schur_routine(monkeypatch):
             assert stats["factors"] == 1
 
 
+def test_the_strip_is_chosen_once_per_group(monkeypatch):
+    # _strip is a draw's one geometric decision: it runs once per congruence
+    # group, however many rungs and redraws follow, and no covariance build
+    # tests a rigid motion
+    chosen, building = [], []
+    strip, build, rigid = fields._strip, fields._covariance_upper, fields._rigid_repeat
+
+    def choose(locations):
+        chosen.append(locations.size)
+        return strip(locations)
+
+    def guarded_build(*args, **kwargs):
+        building.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            building.pop()
+
+    def guarded_rigid(strips, tol):
+        assert not building, "a covariance build tested a rigid motion"
+        return rigid(strips, tol)
+
+    monkeypatch.setattr(fields, "_strip", choose)
+    monkeypatch.setattr(fields, "_covariance_upper", guarded_build)
+    monkeypatch.setattr(fields, "_rigid_repeat", guarded_rigid)
+    m = CovarianceModel.powered_exponential(1.0, 0.3, 1.5)
+    pts = np.linspace(0, 1, 8) + 0.5j
+    twice = np.append(pts, pts[3])  # one strip, drawn at rung 1
+    copied = np.tile(np.linspace(0, 1, 80)[:40] + 0.5j, 2)  # strips of 40 at rung 1, then redrawn
+    for sites, redrawn in ((twice, 0), (copied, 1)):
+        both = np.concatenate([sites, sites + 4.0])
+        blocks = [np.arange(sites.size), np.arange(sites.size, both.size)]
+        for tiles, kwargs, members in ((sites, {}, 1), (both, {"blocks": blocks}, 2)):
+            chosen.clear()
+            stats = {}
+            simulate_isotropic(m, tiles, 0, stats=stats, **kwargs)
+            assert chosen == [sites.size]
+            assert stats["factors"] == 1 and stats["jittered"] == members
+            assert stats.get("schur_redrawn", 0) == redrawn
+    # two groups, one decision each
+    chosen.clear()
+    both = np.concatenate([twice, copied])
+    simulate_isotropic(m, both, 0, blocks=[np.arange(9), np.arange(9, 89)])
+    assert chosen == [9, 80]
+
+
 @pytest.mark.parametrize(
     "blocks",
     [None, [np.arange(3), np.arange(3, MAX_EXACT_SIM + 4)]],
@@ -738,7 +790,7 @@ def test_draws_are_the_factor_times_the_seeded_normals():
     def normals(seq, size):
         return np.random.default_rng(seq).standard_normal(size)
 
-    assert _strip(_tile_period(sites), sites.size) == 32
+    assert _strip(sites) == 32
     got = simulate_isotropic(m, sites, 5).values
     want = _dense_factor(m, sites) @ normals(np.random.SeedSequence(5), sites.size)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -760,14 +812,14 @@ def test_draws_are_the_factor_times_the_seeded_normals():
     "deform, factors", [(DeformationSpec.rotational(), 2), (DeformationSpec.identity(), 1)]
 )
 def test_congruent_tiles_share_one_factor(deform, factors):
-    # each 4 x 4 tile repeats lattice column by column (period 4), so each
-    # factor evaluates the kernel on one block row of 4 x 16 distances
+    # each 4 x 4 tile is one strip, so each factor evaluates the kernel on
+    # all of its 16 x 16 distances
     m = CovarianceModel.powered_exponential(1.0, 0.3, 1.0)
     ax = np.arange(8) / 7.0
     sites = apply_deformation(deform, (ax[:, None] + 1j * ax).ravel())
     stats = {}
     simulate_isotropic(m, sites, 0, blocks=simulation_blocks(8, 8, 4), stats=stats)
-    assert stats == {"factors": factors, "kernel_entries": factors * 4 * 16}
+    assert stats == {"factors": factors, "kernel_entries": factors * 16 * 16}
 
 
 def _square_and_translate(move=0.0):

@@ -219,10 +219,11 @@ def test_pipeline_reruns_are_deterministic(tmp_path):
         assert blob_a == blob_b, name
     with open(os.path.join(out_a, "field_meta.json")) as fh:
         # 30 x 30 sites in tiles of side 20 merge into one tile: one factor,
-        # whose lattice columns repeat, so the kernel fills one 30 x 900 block row
+        # whose lattice columns repeat; a strip of two columns holds MIN_STRIP
+        # sites, so the kernel fills one 60 x 900 block row
         counts = json.load(fh)["counts"]
     assert counts == {
-        "factors": 1, "tiles_jittered": 0, "kernel_entries": 30 * 900, "schur_redrawn": 0
+        "factors": 1, "tiles_jittered": 0, "kernel_entries": 60 * 900, "schur_redrawn": 0
     }
 
 

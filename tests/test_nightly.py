@@ -5,7 +5,7 @@ One realization at 400x400 takes about 3.5 s with BLAS on one thread on a
 2-vCPU Xeon (simulate about 0.5-0.7 s, estimate about 2.2 s), printed stage
 by stage with -s; the score targets are distributional bands around
 published single-realization values, not exact numbers, and the sidecar
-counts repeat exactly.  The grouping and period guards build no covariance.
+counts repeat exactly.  The grouping and strip guards build no covariance.
 """
 
 import json
@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import deformfield as df
-from deformfield.fields import _tile_period, apply_deformation, congruent_tiles
+from deformfield.fields import _strip, apply_deformation, congruent_tiles
 
 
 def _full_scale_config():
@@ -53,35 +53,36 @@ def test_full_scale_tiles_form_eight_congruent_groups():
     assert [len(members) for members in groups] == [8] * 8
 
 
-def _tile_periods(cfg):
+def _tile_strips(cfg):
     latent = apply_deformation(cfg.build_deformation(), cfg.observation_grid().locations())
-    return [_tile_period(latent[idx]) for idx in cfg.sim_tiles() or [np.arange(latent.size)]]
+    return [_strip(latent[idx]) for idx in cfg.sim_tiles() or [np.arange(latent.size)]]
 
 
 def test_tiles_repeat_lattice_column_by_column():
     # every map here carries each lattice column of a tile onto the next by
-    # one rigid motion (a rotation about i r0, or a shift), so the period is
+    # one rigid motion (a rotation about i r0, or a shift), so a strip is
     # one column: 50 sites in tiles of 50 x 50, 60 in the one 60 x 60 tile
     # (the paper config's lattice and map; the covariance does not enter)
     paper = df.PipelineConfig(deform="rotational", deform_r0=1.2, deform_angle=float(np.pi / 2))
-    assert _tile_periods(paper) == [50] * 4
-    assert _tile_periods(df.PipelineConfig()) == [50] * 4
-    assert _tile_periods(_full_scale_config()) == [50] * 64
-    assert _tile_periods(df.PipelineConfig(grid_nx=60, grid_ny=60)) == [60]
-    # a straight line of evenly spaced sites repeats site by site; one site
-    # of the last strip moved, or the sites shuffled, leave no period: by
-    # 1e-6, and by 1e-10, which moves the fitted motion by far less than the
-    # 1e-12 tolerance, so only the check of every strip sees it
+    assert _tile_strips(paper) == [50] * 4
+    assert _tile_strips(df.PipelineConfig()) == [50] * 4
+    assert _tile_strips(_full_scale_config()) == [50] * 64
+    assert _tile_strips(df.PipelineConfig(grid_nx=60, grid_ny=60)) == [60]
+    # a straight line of evenly spaced sites repeats site by site, so its
+    # strip is the smallest divisor that holds MIN_STRIP sites; one site of
+    # the last strip moved, or the sites shuffled, leave one strip: by 1e-6,
+    # and by 1e-10, which moves the fitted motion by far less than the 1e-12
+    # tolerance, so only the check of every strip sees it
     line = np.linspace(0.0, 1.0, 400) * np.exp(0.3j) + 0.2
-    assert _tile_period(line) == 1
+    assert _strip(line) == 40
     tile = apply_deformation(paper.build_deformation(), paper.observation_grid().locations())
     tile = tile[paper.sim_tiles()[0]]
     for move in (1e-6, 1e-10):
         moved = tile.copy()
         moved[-3] += move
-        assert _tile_period(moved) == tile.size
+        assert _strip(moved) == tile.size
     shuffled = tile[np.random.default_rng(0).permutation(tile.size)]
-    assert _tile_period(shuffled) == tile.size
+    assert _strip(shuffled) == tile.size
 
 
 def test_full_scale_pipeline(tmp_path):
